@@ -27,7 +27,7 @@
 use ise_bench::json::Json;
 use ise_bench::{timed, Options};
 use ise_corpus::load_corpus_path;
-use ise_enum::par::{parallel_cuts, ParConfig, ParRun};
+use ise_enum::par::{run_blocks, BlockJob, BlockRun};
 use ise_enum::{
     incremental_cuts_with, Constraints, Cut, EngineOptions, EnumContext, Enumeration,
     PruningConfig, TaskLoadSummary,
@@ -37,7 +37,19 @@ fn keys(result: &Enumeration) -> Vec<ise_enum::CutKey<'_>> {
     result.cuts.iter().map(Cut::key).collect()
 }
 
-fn load_json(run: &ParRun) -> Json {
+/// One block through the parallel driver, the same code path `ise enumerate` runs.
+fn drive(
+    job: BlockJob<'_>,
+    constraints: &Constraints,
+    pruning: &PruningConfig,
+    threads: usize,
+) -> BlockRun {
+    run_blocks(&[job], constraints, pruning, threads, None, |_, _, run| run)
+        .pop()
+        .expect("one block, one run")
+}
+
+fn load_json(run: &BlockRun) -> Json {
     let summary = TaskLoadSummary::from_task_nodes(&run.task_nodes);
     Json::object([
         ("tasks", Json::uint(summary.tasks)),
@@ -101,10 +113,12 @@ fn main() {
         max_search_nodes: budget,
         ..EngineOptions::default()
     };
-    let ctx = EnumContext::new(block.dfg.clone());
 
-    let (serial, serial_elapsed) =
-        timed(|| incremental_cuts_with(&ctx, &constraints, &pruning, &options, None));
+    // Both the serial row and the driver build the block's context inside the timing.
+    let (serial, serial_elapsed) = timed(|| {
+        let ctx = EnumContext::new(block.dfg.clone());
+        incremental_cuts_with(&ctx, &constraints, &pruning, &options, None)
+    });
     let serial_seconds = serial_elapsed.as_secs_f64();
     println!("mode,tasks,threads,seconds,speedup,cuts,search_nodes,final_tasks,skew,identical");
     println!(
@@ -124,10 +138,8 @@ fn main() {
 
     let mut speedup_at: Vec<(usize, f64)> = Vec::new();
     for &t in &threads {
-        let mut config = ParConfig::new(tasks, t);
-        config.options = options;
-        config.split_threshold = split;
-        let (run, elapsed) = timed(|| parallel_cuts(&ctx, &constraints, &pruning, &config, None));
+        let job = BlockJob::split(&block.dfg, options, tasks, split);
+        let (run, elapsed) = timed(|| drive(job, &constraints, &pruning, t));
         let par = &run.enumeration;
         // The merged result must be byte-identical to the serial run; a budgeted run
         // truncates per task, so only unbudgeted runs assert (and record) identity.
@@ -171,14 +183,17 @@ fn main() {
         .iter()
         .find(|b| b.dfg.name().starts_with("skewed-dag"))
         .map(|skewed| {
-            let skew_ctx = EnumContext::new(skewed.dfg.clone());
-            let baseline_cfg = ParConfig::new(SKEW_STUDY_TASKS, 1);
-            let (baseline, _) =
-                timed(|| parallel_cuts(&skew_ctx, &constraints, &pruning, &baseline_cfg, None));
-            let mut split_cfg = ParConfig::new(SKEW_STUDY_TASKS, 1);
-            split_cfg.split_threshold = Some(10_000);
-            let (split_run, _) =
-                timed(|| parallel_cuts(&skew_ctx, &constraints, &pruning, &split_cfg, None));
+            let study = |split_threshold| {
+                let job = BlockJob::split(
+                    &skewed.dfg,
+                    EngineOptions::default(),
+                    SKEW_STUDY_TASKS,
+                    split_threshold,
+                );
+                drive(job, &constraints, &pruning, 1)
+            };
+            let baseline = study(None);
+            let split_run = study(Some(10_000));
             let base = TaskLoadSummary::from_task_nodes(&baseline.task_nodes);
             let with = TaskLoadSummary::from_task_nodes(&split_run.task_nodes);
             assert!(

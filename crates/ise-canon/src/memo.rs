@@ -52,14 +52,11 @@ pub struct MemoStats {
 }
 
 impl MemoStats {
-    /// Publishes this snapshot into a metrics registry as gauges
-    /// (`ise_memo_raw_hits`, `ise_memo_fingerprint_hits`, `ise_memo_labeler_runs`,
-    /// `ise_memo_entries`) — the daemon calls this before rendering
-    /// `GET /v1/metrics` so the memo surfaces through the shared registry.
+    /// Publishes the memo's size into a metrics registry as the `ise_memo_entries`
+    /// gauge — the daemon calls this before rendering `GET /v1/metrics`. The hit
+    /// and labeler counts are the live `ise_memo_*_total` counters
+    /// ([`CanonMemo::set_recorder`]), so they are not republished here.
     pub fn publish(&self, rec: &dyn Recorder) {
-        rec.set_gauge("ise_memo_raw_hits", self.raw_hits);
-        rec.set_gauge("ise_memo_fingerprint_hits", self.fingerprint_hits);
-        rec.set_gauge("ise_memo_labeler_runs", self.labeler_runs);
         rec.set_gauge("ise_memo_entries", self.entries);
     }
 }

@@ -1,40 +1,28 @@
-//! The sharded batch runner: a work-stealing scheduler over dynamically splittable
-//! (block, task) items.
+//! The batch runner: plans each corpus block, runs every block through
+//! [`ise_enum::par::run_blocks`] (one work-stealing pool over dynamically splittable
+//! (block, task) items), and finalizes each block into a [`BlockOutcome`].
 //!
-//! PR 3's runner sharded whole *blocks* across workers, which left one adversarial
-//! block serializing an entire corpus sweep. PR 4 flattened the work into
-//! `(block, task)` items behind one atomic fetch-add cursor — but a cursor only
-//! distributes the *static* fan-out, and recursive task splitting (this revision)
-//! spawns child tasks while the sweep runs. The scheduler is now a
-//! [`WorkStealPool`]: every worker owns a deque, freshly split children land on
-//! their producer's deque (popped LIFO, warm in cache), and idle workers steal the
-//! oldest — coarsest — item from a peer, so one skewed subtree that keeps splitting
-//! is drained by whoever is free instead of serializing its worker's tail. The
-//! worker retiring a block's last task merges its task outputs (sorted by
-//! [`TaskId`], the deterministic serial order) and finalizes the block.
+//! Blocks at or above [`BatchConfig::par_threshold`] vertices fan out into at most
+//! [`MAX_TASKS_PER_BLOCK`] first-output tasks, re-split past
+//! [`BatchConfig::split_threshold`] search nodes; smaller blocks run whole.
 //!
-//! **Determinism.** The fan-out plan ([`BatchConfig::par_threshold`],
-//! [`MAX_TASKS_PER_BLOCK`]), the per-task budget split and the split threshold are
-//! functions of the block and the configuration alone — never of the thread count —
-//! suspension points are a pure function of each task's own search, and the sharded
-//! task merge is deterministic, so every count in the output is byte-identical for
-//! any `--threads` value (the PR 3 guarantee). Unbudgeted fanned-out blocks
-//! reproduce the serial enumeration exactly, statistics included; budgeted ones
-//! split the block budget evenly across the *static* tasks (each subtree truncated
+//! **Determinism.** The fan-out plan, the per-task budget split and the split
+//! threshold are functions of the block and the configuration alone — never of the
+//! thread count — suspension points are a pure function of each task's own search,
+//! and the sharded task merge is deterministic, so every count in the output is
+//! byte-identical for any `--threads` value. Unbudgeted fanned-out blocks reproduce
+//! the serial enumeration exactly, statistics included; budgeted ones split the
+//! block budget evenly across the *static* tasks (each subtree truncated
 //! independently, budget exhaustion suppressing any further splits), which is
 //! deterministic but intentionally not identical to a serially budgeted run.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, OnceLock};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use ise_corpus::CorpusBlock;
-use ise_enum::par::{
-    initial_tasks, merge_tasks, run_task_obs, TaskId, TaskOutput, TaskSpec, WorkStealPool,
-};
+use ise_enum::par::{run_blocks, BlockJob, BlockRun};
 use ise_enum::{
-    incremental_cuts_with, select_ises, Constraints, DedupMode, EngineOptions, EnumContext,
-    Enumeration, PruningConfig, Selection,
+    select_ises, Constraints, DedupMode, EngineOptions, EnumContext, Enumeration, PruningConfig,
+    Selection,
 };
 use ise_graph::{Dfg, LatencyModel};
 use ise_obs::Recorder;
@@ -139,78 +127,38 @@ pub struct BlockOutcome {
     pub elapsed: Duration,
 }
 
-/// The per-block schedule. `specs` empty means the block runs whole on one worker
-/// (small blocks below the fan-out threshold, and degenerate fan-outs with at most
-/// one candidate and splitting off).
-struct BlockPlan {
-    specs: Vec<TaskSpec>,
-    split_threshold: Option<usize>,
-    options: EngineOptions,
-}
-
-/// In-flight state of one block; the worker retiring the last task merges.
-struct BlockSlot {
-    ctx: OnceLock<EnumContext>,
-    started: OnceLock<Instant>,
-    /// Tasks queued or running for this block — static tasks up front, plus every
-    /// spawned child (registered before its parent retires).
-    pending: AtomicUsize,
-    outputs: Mutex<Vec<(TaskId, TaskOutput)>>,
-    outcome: OnceLock<BlockOutcome>,
-}
-
-fn plan_block(dfg: &Dfg, config: &BatchConfig) -> BlockPlan {
-    // The engine's own context-free counter, so the plan's task ranges can never
-    // drift from the candidate list `run_task` slices.
-    let candidates = EnumContext::candidate_output_count(dfg);
+/// The block's schedule: whole below the fan-out threshold, otherwise split into
+/// at most [`MAX_TASKS_PER_BLOCK`] first-output tasks with the block budget shared
+/// evenly among them.
+fn plan_block<'a>(dfg: &'a Dfg, config: &BatchConfig) -> BlockJob<'a> {
     let fan_out = dfg.len() >= config.par_threshold;
+    // The engine's own context-free counter, so the plan's task count can never
+    // drift from the candidate list the tasks slice.
     let tasks = if fan_out {
-        candidates.clamp(1, MAX_TASKS_PER_BLOCK)
+        EnumContext::candidate_output_count(dfg).clamp(1, MAX_TASKS_PER_BLOCK)
     } else {
         1
     };
-    let split_threshold = if fan_out {
-        config.split_threshold
-    } else {
-        None
+    let options = EngineOptions {
+        // The block budget is split evenly across the static tasks so a fanned-out
+        // sweep costs what a whole-block sweep would; deterministic in the plan
+        // alone. Budget exhaustion suppresses recursive splits.
+        max_search_nodes: config.budget.map(|b| b.div_ceil(tasks).max(1)),
+        dedup_mode: config.dedup_mode,
     };
-    let mut specs = if fan_out {
-        initial_tasks(candidates, tasks)
-    } else {
-        Vec::new()
-    };
-    if specs.len() == 1 && split_threshold.is_none() {
-        // A single static task that can never split is exactly the serial run; skip
-        // the task/merge machinery (this also covers candidate-starved blocks, whose
-        // degenerate extra ranges `initial_tasks` already drops).
-        specs.clear();
-    }
-    BlockPlan {
-        specs,
-        split_threshold,
-        options: EngineOptions {
-            // The block budget is split evenly across the static tasks so a
-            // fanned-out sweep costs what a whole-block sweep would; deterministic in
-            // the plan alone. Budget exhaustion suppresses recursive splits.
-            max_search_nodes: config.budget.map(|b| b.div_ceil(tasks).max(1)),
-            dedup_mode: config.dedup_mode,
-        },
-    }
+    // A block that does not fan out is one task that never splits: the serial run.
+    let split_threshold = fan_out.then_some(config.split_threshold).flatten();
+    BlockJob::split(dfg, options, tasks, split_threshold)
 }
-
-/// One schedulable unit: a block index plus either a task of its fan-out or `None`
-/// for a whole-block (serial) run.
-type WorkItem = (usize, Option<TaskSpec>);
 
 /// Runs the batch: every block of `blocks` through the engine, with large blocks
 /// fanned out into first-output tasks (recursively re-split past the split
-/// threshold), all items scheduled by a [`WorkStealPool`] over
-/// [`BatchConfig::threads`] workers.
+/// threshold), all scheduled by [`run_blocks`] over [`BatchConfig::threads`]
+/// workers.
 ///
-/// Each worker owns its per-task search state — the engine's `Send` audit guarantees
-/// nothing is shared mutably — and the fan-out plan, the split points and the task
-/// merge are all deterministic, so the outcomes (sorted by block index) are
-/// identical for every thread count; only the wall times differ.
+/// The fan-out plan, the split points and the task merge are all deterministic, so
+/// the outcomes (in block order) are identical for every thread count; only the
+/// wall times differ.
 ///
 /// An optional [`Recorder`] observes the run: per-block and per-task spans, pool
 /// counters and phase timings land in the recorder, worker threads are named
@@ -222,163 +170,31 @@ pub fn run_batch_obs(
     config: &BatchConfig,
     rec: Option<&dyn Recorder>,
 ) -> Vec<BlockOutcome> {
-    let plans: Vec<BlockPlan> = blocks.iter().map(|b| plan_block(&b.dfg, config)).collect();
-    let slots: Vec<BlockSlot> = plans
-        .iter()
-        .map(|plan| BlockSlot {
-            ctx: OnceLock::new(),
-            started: OnceLock::new(),
-            pending: AtomicUsize::new(plan.specs.len().max(1)),
-            outputs: Mutex::new(Vec::new()),
-            outcome: OnceLock::new(),
-        })
-        .collect();
-    let items: Vec<WorkItem> = plans
-        .iter()
-        .enumerate()
-        .flat_map(|(block, plan)| -> Vec<WorkItem> {
-            if plan.specs.is_empty() {
-                vec![(block, None)]
-            } else {
-                plan.specs
-                    .iter()
-                    .map(|spec| (block, Some(spec.clone())))
-                    .collect()
-            }
-        })
-        .collect();
-
-    let workers = config.threads.max(1).min(items.len().max(1));
-    let mut pool = WorkStealPool::new(workers);
-    if let Some(rec) = rec {
-        pool.set_recorder(rec);
-    }
-    let pool = pool;
-    pool.seed(items);
-    std::thread::scope(|scope| {
-        for worker in 0..workers {
-            let pool = &pool;
-            let plans = &plans;
-            let slots = &slots;
-            scope.spawn(move || {
-                if let Some(rec) = rec {
-                    rec.set_thread_name(&format!("worker-{worker}"));
-                }
-                while let Some((block_idx, spec)) = pool.pop(worker) {
-                    run_item(
-                        &blocks[block_idx],
-                        block_idx,
-                        spec,
-                        &plans[block_idx],
-                        &slots[block_idx],
-                        config,
-                        pool,
-                        worker,
-                        rec,
-                    );
-                    pool.done();
-                }
-            });
-        }
-    });
-
-    slots
-        .into_iter()
-        .map(|slot| {
-            slot.outcome
-                .into_inner()
-                .expect("every scheduled block was finalized")
-        })
-        .collect()
-}
-
-/// Executes one work item; the worker retiring a block's last task merges and
-/// finalizes it.
-#[allow(clippy::too_many_arguments)]
-fn run_item(
-    block: &CorpusBlock,
-    block_idx: usize,
-    spec: Option<TaskSpec>,
-    plan: &BlockPlan,
-    slot: &BlockSlot,
-    config: &BatchConfig,
-    pool: &WorkStealPool<WorkItem>,
-    worker: usize,
-    rec: Option<&dyn Recorder>,
-) {
-    let started = *slot.started.get_or_init(Instant::now);
-    let ctx = slot.ctx.get_or_init(|| EnumContext::new(block.dfg.clone()));
-    let Some(spec) = spec else {
-        // Whole-block item: run the serial engine directly, no merge needed.
-        let enumeration = incremental_cuts_with(
-            ctx,
-            &config.constraints,
-            &config.pruning,
-            &plan.options,
-            rec,
-        );
-        finalize(block, block_idx, 1, slot, config, enumeration, started, rec);
-        return;
-    };
-    let (output, children) = run_task_obs(
-        ctx,
+    let jobs: Vec<BlockJob> = blocks.iter().map(|b| plan_block(&b.dfg, config)).collect();
+    run_blocks(
+        &jobs,
         &config.constraints,
         &config.pruning,
-        &plan.options,
-        plan.split_threshold,
-        &spec,
+        config.threads,
         rec,
-    );
-    if !children.is_empty() {
-        // Register the children before retiring this task, so the block can never
-        // look complete while split-off work is still queued.
-        slot.pending.fetch_add(children.len(), Ordering::AcqRel);
-        for child in children {
-            pool.push(worker, (block_idx, Some(child)));
-        }
-    }
-    slot.outputs
-        .lock()
-        .expect("task output list poisoned")
-        .push((spec.id().clone(), output));
-    // The last task to retire (the mutex pushes above synchronize with this acquire)
-    // merges in TaskId order — the serial order, whatever the schedule was.
-    if slot.pending.fetch_sub(1, Ordering::AcqRel) == 1 {
-        let mut outputs =
-            std::mem::take(&mut *slot.outputs.lock().expect("task output list poisoned"));
-        outputs.sort_by(|a, b| a.0.cmp(&b.0));
-        let tasks = outputs.len();
-        let outputs: Vec<TaskOutput> = outputs.into_iter().map(|(_, out)| out).collect();
-        let enumeration = merge_tasks(ctx, &plan.options, outputs, config.threads, rec);
-        finalize(
-            block,
-            block_idx,
-            tasks,
-            slot,
-            config,
-            enumeration,
-            started,
-            rec,
-        );
-    }
+        |index, ctx, run| finalize(&blocks[index], index, ctx, config, run, rec),
+    )
 }
 
-#[allow(clippy::too_many_arguments)]
+/// Turns one block's run into its outcome, selecting instructions when asked; runs
+/// on the worker that retired the block.
 fn finalize(
     block: &CorpusBlock,
     index: usize,
-    tasks: usize,
-    slot: &BlockSlot,
+    ctx: &EnumContext,
     config: &BatchConfig,
-    enumeration: Enumeration,
-    started: Instant,
+    run: BlockRun,
     rec: Option<&dyn Recorder>,
-) {
-    let ctx = slot.ctx.get().expect("context built before finalize");
+) -> BlockOutcome {
     let selection = config.select.as_ref().map(|sel| {
         select_ises(
             ctx,
-            &enumeration.cuts,
+            &run.enumeration.cuts,
             &LatencyModel::default(),
             sel.ports_in,
             sel.ports_out,
@@ -391,17 +207,15 @@ fn finalize(
         nodes: block.dfg.len(),
         edges: block.dfg.edge_count(),
         forbidden: block.dfg.forbidden().len(),
-        tasks,
-        enumeration,
+        tasks: run.task_nodes.len(),
+        enumeration: run.enumeration,
         selection,
-        elapsed: started.elapsed(),
+        elapsed: run.started.elapsed(),
     };
-    slot.outcome
-        .set(outcome)
-        .expect("each block is finalized exactly once");
     if let Some(rec) = rec {
         rec.add("ise_batch_blocks_total", 1);
     }
+    outcome
 }
 
 #[cfg(test)]
@@ -431,82 +245,44 @@ mod tests {
         }
     }
 
-    fn direct_run(block: &CorpusBlock, cfg: &BatchConfig) -> Enumeration {
-        let ctx = EnumContext::new(block.dfg.clone());
-        incremental_cuts(&ctx, &cfg.constraints, &cfg.pruning)
-    }
-
-    /// The batch driver must report exactly what a direct engine run reports,
-    /// block for block (the ISSUE's CLI-vs-engine cross-check).
+    /// Whole, fanned-out (forced via a tiny threshold) and recursively split blocks
+    /// must all report exactly what a direct engine run reports, statistics and cut
+    /// order included, on unbudgeted runs.
     #[test]
-    fn batch_outcomes_match_direct_engine_runs() {
+    fn batch_outcomes_match_direct_engine_runs_exactly() {
         let blocks = small_corpus();
-        let cfg = config(2);
-        let outcomes = run_batch_obs(&blocks, &cfg, None);
-        assert_eq!(outcomes.len(), blocks.len());
-        for (outcome, block) in outcomes.iter().zip(&blocks) {
-            let direct = direct_run(block, &cfg);
-            assert_eq!(outcome.name, block.dfg.name());
-            assert_eq!(
-                outcome.enumeration.cuts.len(),
-                direct.cuts.len(),
-                "cut count differs on {}",
-                outcome.name
-            );
-            assert_eq!(
-                outcome.enumeration.stats.search_nodes, direct.stats.search_nodes,
-                "search trace differs on {}",
-                outcome.name
-            );
-        }
-    }
-
-    /// Fanned-out blocks (forced via a tiny threshold) must still report exactly the
-    /// serial enumeration — statistics included — on unbudgeted runs.
-    #[test]
-    fn fanned_out_blocks_match_direct_engine_runs_exactly() {
-        let blocks = small_corpus();
-        let mut cfg = config(3);
-        cfg.par_threshold = 1; // every block fans out
-        let outcomes = run_batch_obs(&blocks, &cfg, None);
-        for (outcome, block) in outcomes.iter().zip(&blocks) {
-            assert!(outcome.tasks > 1, "{} did not fan out", outcome.name);
-            let direct = direct_run(block, &cfg);
-            assert_eq!(
-                outcome.enumeration.stats, direct.stats,
-                "merged stats differ from serial on {}",
-                outcome.name
-            );
-            let merged: Vec<_> = outcome.enumeration.cuts.iter().map(|c| c.key()).collect();
-            let serial: Vec<_> = direct.cuts.iter().map(|c| c.key()).collect();
-            assert_eq!(merged, serial, "cut order differs on {}", outcome.name);
-        }
-    }
-
-    /// Forced recursive splitting (tiny split threshold) must also reproduce the
-    /// serial enumeration exactly, while actually growing the task count past the
-    /// static fan-out.
-    #[test]
-    fn recursively_split_blocks_match_direct_engine_runs_exactly() {
-        let blocks = small_corpus();
-        let mut cfg = config(3);
-        cfg.par_threshold = 1;
-        cfg.split_threshold = Some(50);
-        let outcomes = run_batch_obs(&blocks, &cfg, None);
-        assert!(
-            outcomes.iter().any(|o| o.tasks > MAX_TASKS_PER_BLOCK),
-            "a 50-node threshold must split some block past the static fan-out"
-        );
-        for (outcome, block) in outcomes.iter().zip(&blocks) {
-            let direct = direct_run(block, &cfg);
-            assert_eq!(
-                outcome.enumeration.stats, direct.stats,
-                "merged stats differ from serial on {}",
-                outcome.name
-            );
-            let merged: Vec<_> = outcome.enumeration.cuts.iter().map(|c| c.key()).collect();
-            let serial: Vec<_> = direct.cuts.iter().map(|c| c.key()).collect();
-            assert_eq!(merged, serial, "cut order differs on {}", outcome.name);
+        for (par_threshold, split_threshold) in [
+            (DEFAULT_PAR_THRESHOLD, Some(DEFAULT_SPLIT_THRESHOLD)),
+            (1, Some(DEFAULT_SPLIT_THRESHOLD)),
+            (1, Some(50)),
+        ] {
+            let mut cfg = config(3);
+            cfg.par_threshold = par_threshold;
+            cfg.split_threshold = split_threshold;
+            let outcomes = run_batch_obs(&blocks, &cfg, None);
+            assert_eq!(outcomes.len(), blocks.len());
+            if par_threshold == 1 {
+                assert!(outcomes.iter().all(|o| o.tasks > 1), "every block fans out");
+            }
+            if split_threshold == Some(50) {
+                assert!(
+                    outcomes.iter().any(|o| o.tasks > MAX_TASKS_PER_BLOCK),
+                    "a 50-node threshold must split some block past the static fan-out"
+                );
+            }
+            for (outcome, block) in outcomes.iter().zip(&blocks) {
+                let label = format!(
+                    "{} par={par_threshold} split={split_threshold:?}",
+                    outcome.name
+                );
+                assert_eq!(outcome.name, block.dfg.name());
+                let ctx = EnumContext::new(block.dfg.clone());
+                let direct = incremental_cuts(&ctx, &cfg.constraints, &cfg.pruning);
+                assert_eq!(outcome.enumeration.stats, direct.stats, "{label}: stats");
+                let merged: Vec<_> = outcome.enumeration.cuts.iter().map(|c| c.key()).collect();
+                let serial: Vec<_> = direct.cuts.iter().map(|c| c.key()).collect();
+                assert_eq!(merged, serial, "{label}: cut order");
+            }
         }
     }
 

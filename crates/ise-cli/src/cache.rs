@@ -13,7 +13,8 @@
 //! * [`ResponseCache`] — an [`LruCache`] over rendered response payloads, backed by
 //!   an optional on-disk directory (`--cache-dir`) so a restarted daemon answers
 //!   warm. Disk I/O is strictly best-effort: a read or write failure degrades to a
-//!   miss, never to a request error.
+//!   miss, never to a request error. Files are written to a temporary name and
+//!   renamed into place, and a file that does not parse as JSON is a miss.
 //! * [`SingleFlight`] — request coalescing for the concurrent daemon: N threads
 //!   missing the cache on the *same* key elect exactly one leader to compute while
 //!   the rest block on the leader's published outcome, so a thundering herd of
@@ -31,6 +32,8 @@ use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
+
+use ise_bench::json::Json;
 
 /// Stable 128-bit content hash of `parts`, as 32 lowercase hex characters.
 ///
@@ -248,23 +251,33 @@ impl ResponseCache {
         self.memory.map.get(key).cloned()
     }
 
-    /// Looks up `key` in memory, then on disk. A disk hit is promoted into memory.
+    /// Looks up `key` in memory, then on disk. A disk hit is promoted into memory;
+    /// a file that does not parse as JSON (torn by a crash, or edited) is a miss,
+    /// and the recomputed payload's [`put`](Self::put) replaces it.
     pub fn get(&mut self, key: &str) -> Option<String> {
         if let Some(hit) = self.memory.get(key) {
             return Some(hit.clone());
         }
         let path = self.dir.as_ref()?.join(format!("{key}.json"));
         let payload = std::fs::read_to_string(path).ok()?;
+        Json::parse(&payload).ok()?;
         self.memory.stats.disk_hits += 1;
         self.memory.put(key, payload.clone());
         Some(payload)
     }
 
-    /// Stores `key -> payload` in memory and, when configured, on disk.
+    /// Stores `key -> payload` in memory and, when configured, on disk. The file
+    /// is written under a temporary name and renamed into place, so a reader never
+    /// sees a partly written payload.
     pub fn put(&mut self, key: &str, payload: &str) {
         self.memory.put(key, payload.to_string());
         if let Some(dir) = &self.dir {
-            let _ = std::fs::write(dir.join(format!("{key}.json")), payload);
+            let tmp = dir.join(format!("{key}.json.{}.tmp", std::process::id()));
+            let stored = std::fs::write(&tmp, payload)
+                .and_then(|()| std::fs::rename(&tmp, dir.join(format!("{key}.json"))));
+            if stored.is_err() {
+                let _ = std::fs::remove_file(&tmp);
+            }
         }
     }
 }

@@ -1018,10 +1018,26 @@ fn serve_tcp(state: &Arc<ServerState>, addr: &str, max_connections: usize) -> Re
     Ok(())
 }
 
+/// The longest request line (JSON protocol, HTTP request or header line) and the
+/// longest HTTP body the daemon reads: far above the largest inline corpus block
+/// (31 KB), and a bound on what one client can make the daemon allocate.
+pub const MAX_REQUEST_BYTES: usize = 4 << 20;
+
+/// A request line or body over [`MAX_REQUEST_BYTES`]: memory the daemon refuses to
+/// allocate. The connection answers it with an in-band error (HTTP `413`) and
+/// closes.
+fn oversized(what: &str) -> io::Error {
+    io::Error::new(
+        io::ErrorKind::OutOfMemory,
+        format!("{what} exceeds the {MAX_REQUEST_BYTES}-byte request limit"),
+    )
+}
+
 /// Serves one TCP connection, sniffing the transport from its first line: an
 /// HTTP method selects the HTTP/1.1 shim, anything else (in practice a `{`) is
 /// line-delimited JSON. Reads poll with a 100ms timeout so a SIGTERM during an
-/// idle connection still shuts the daemon down promptly.
+/// idle connection still shuts the daemon down promptly. An oversized request is
+/// answered with an error and ends the connection.
 fn serve_connection(state: &ServerState, mut stream: TcpStream) -> io::Result<()> {
     stream.set_read_timeout(Some(Duration::from_millis(100)))?;
     // Each response is one small write the client latency-chains on; Nagle
@@ -1029,13 +1045,29 @@ fn serve_connection(state: &ServerState, mut stream: TcpStream) -> io::Result<()
     let _ = stream.set_nodelay(true);
     let mut reader = io::BufReader::new(stream.try_clone()?);
     let mut first = String::new();
-    if read_line_polled(state, &mut reader, &mut first)? == 0 {
+    let read = read_line_polled(state, &mut reader, &mut first);
+    if matches!(read, Ok(0)) {
         return Ok(());
     }
-    if is_http_request_line(&first) {
-        serve_http(state, &mut stream, &mut reader, first)
-    } else {
-        serve_json(state, &mut stream, &mut reader, first)
+    let http = is_http_request_line(&first);
+    let served = read.and_then(|_| {
+        if http {
+            serve_http(state, &mut stream, &mut reader, first)
+        } else {
+            serve_json(state, &mut stream, &mut reader, first)
+        }
+    });
+    match served {
+        Err(error) if error.kind() == io::ErrorKind::OutOfMemory => {
+            let payload = state.error_response(&error.to_string());
+            let reply = if http {
+                http_response("413 Payload Too Large", CONTENT_JSON, &payload, true)
+            } else {
+                payload + "\n"
+            };
+            stream.write_all(reply.as_bytes())
+        }
+        other => other,
     }
 }
 
@@ -1050,26 +1082,37 @@ fn is_http_request_line(line: &str) -> bool {
 /// while blocked on a quiet peer. Returns `Ok(0)` on a clean end (EOF between
 /// lines, or shutdown while idle); a peer that disconnects **mid-line** is an
 /// error — the caller surfaces it as a connection error rather than silently
-/// dropping the partial request.
+/// dropping the partial request — and so is a line over [`MAX_REQUEST_BYTES`].
+/// The line is collected as bytes and decoded once complete, so neither the cap
+/// nor a read timeout can cut a multi-byte character into a decoding error.
 fn read_line_polled(
     state: &ServerState,
     reader: &mut impl BufRead,
     line: &mut String,
 ) -> io::Result<usize> {
+    let mut bytes = Vec::new();
     loop {
-        match reader.read_line(line) {
+        // Read at most one byte past the cap, so an endless line stops there.
+        let room = (MAX_REQUEST_BYTES + 1).saturating_sub(bytes.len()) as u64;
+        match io::Read::take(&mut *reader, room).read_until(b'\n', &mut bytes) {
             Ok(0) => {
-                if line.is_empty() {
+                if bytes.is_empty() {
                     return Ok(0);
                 }
                 return Err(io::Error::new(
                     io::ErrorKind::UnexpectedEof,
-                    format!("connection closed mid-line after {} bytes", line.len()),
+                    format!("connection closed mid-line after {} bytes", bytes.len()),
                 ));
             }
             Ok(_) => {
-                if line.ends_with('\n') {
+                if bytes.ends_with(b"\n") {
+                    *line = String::from_utf8(bytes).map_err(|_| {
+                        io::Error::new(io::ErrorKind::InvalidData, "request line is not UTF-8")
+                    })?;
                     return Ok(line.len());
+                }
+                if bytes.len() > MAX_REQUEST_BYTES {
+                    return Err(oversized("a request line"));
                 }
                 // EOF with a partial line: the next read returns Ok(0) with a
                 // non-empty buffer and reports the mid-line disconnect above.
@@ -1206,17 +1249,17 @@ fn serve_http(
                 }
             }
         }
+        if content_length > MAX_REQUEST_BYTES {
+            return Err(oversized(&format!(
+                "a request body of {content_length} bytes"
+            )));
+        }
         let mut body = vec![0u8; content_length];
         read_exact_polled(state, reader, &mut body)?;
         let body = String::from_utf8_lossy(&body).into_owned();
 
         let (status, content_type, payload) = http_reply(state, &method, &path, &body);
-        let response = format!(
-            "HTTP/1.1 {status}\r\nContent-Type: {content_type}\r\n\
-             Content-Length: {}\r\nConnection: {}\r\n\r\n{payload}",
-            payload.len(),
-            if close { "close" } else { "keep-alive" },
-        );
+        let response = http_response(status, content_type, &payload, close);
         stream.write_all(response.as_bytes())?;
         stream.flush()?;
         if close || state.shutdown_requested() || sig::terminated() {
@@ -1227,6 +1270,16 @@ fn serve_http(
             return Ok(());
         }
     }
+}
+
+/// One HTTP/1.1 response with its `Content-Length` and `Connection` headers.
+fn http_response(status: &str, content_type: &str, payload: &str, close: bool) -> String {
+    format!(
+        "HTTP/1.1 {status}\r\nContent-Type: {content_type}\r\n\
+         Content-Length: {}\r\nConnection: {}\r\n\r\n{payload}",
+        payload.len(),
+        if close { "close" } else { "keep-alive" },
+    )
 }
 
 /// The Content-Type of every JSON-bodied HTTP response.
@@ -1770,6 +1823,46 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// The raw `result` payload bytes of a response envelope.
+    fn raw_result(response: &str) -> &str {
+        let start = response.find("\"result\":").expect("result field") + "\"result\":".len();
+        &response[start..response.len() - 1]
+    }
+
+    #[test]
+    fn torn_disk_cache_file_is_a_miss_and_is_rewritten() {
+        let dir = std::env::temp_dir().join(format!("ise-serve-torn-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let req = request("enumerate", INLINE, r#"{"nin":3,"nout":1}"#);
+        ServerState::new(8, Some(dir.clone())).handle_line(&req);
+        let file = std::fs::read_dir(&dir)
+            .unwrap()
+            .next()
+            .unwrap()
+            .unwrap()
+            .path();
+        let stored = std::fs::read(&file).unwrap();
+        std::fs::write(&file, &stored[..stored.len() / 2]).unwrap();
+
+        let restarted = ServerState::new(8, Some(dir.clone()));
+        let answer = restarted.handle_line(&req);
+        let fresh = ServerState::new(8, None).handle_line(&req);
+        assert!(answer.starts_with("{\"ok\":true"), "{answer}");
+        assert_eq!(
+            Json::parse(&answer).unwrap().get("cached"),
+            Some(&Json::Bool(false)),
+            "{answer}"
+        );
+        assert_eq!(raw_result(&answer), raw_result(&fresh));
+        assert_eq!(restarted.response_stats().disk_hits, 0);
+        assert_eq!(
+            std::fs::read(&file).unwrap(),
+            stored,
+            "the recompute rewrites the file"
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
     /// Response keys double as `--cache-dir` file names, so the mapping from request
     /// to key must not drift: a change here silently orphans every persisted entry.
     /// Update the expected values only together with a deliberate key-format change.
@@ -1807,5 +1900,41 @@ mod tests {
                 "{op} {flags}: {response}"
             );
         }
+    }
+
+    /// Hands out one chunk per read; `None` is a read timeout.
+    struct Chunks(std::collections::VecDeque<Option<Vec<u8>>>);
+
+    impl io::Read for Chunks {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            match self.0.pop_front() {
+                None => Ok(0),
+                Some(None) => Err(io::ErrorKind::WouldBlock.into()),
+                Some(Some(chunk)) => {
+                    buf[..chunk.len()].copy_from_slice(&chunk);
+                    Ok(chunk.len())
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn line_reads_never_split_a_multi_byte_character() {
+        let state = ServerState::new(8, None);
+        // A character cut by the size cap is still an oversized line, refused
+        // in-band, not a decoding error that drops the connection.
+        let mut long = vec![b'x'; MAX_REQUEST_BYTES];
+        long.extend_from_slice("é\n".as_bytes());
+        let mut line = String::new();
+        let error = read_line_polled(&state, &mut io::Cursor::new(long), &mut line).unwrap_err();
+        assert_eq!(error.kind(), io::ErrorKind::OutOfMemory, "{error}");
+
+        // A character cut by a read timeout is reassembled, not dropped.
+        let (head, tail) = "{\"k\":\"é\"}\n".as_bytes().split_at(7);
+        let chunks = Chunks([Some(head.to_vec()), None, Some(tail.to_vec())].into());
+        let mut line = String::new();
+        let read = read_line_polled(&state, &mut io::BufReader::new(chunks), &mut line);
+        assert_eq!(read.unwrap(), line.len());
+        assert_eq!(line, "{\"k\":\"é\"}\n");
     }
 }

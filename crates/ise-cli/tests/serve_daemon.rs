@@ -13,6 +13,7 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use ise_bench::json::Json;
+use ise_cli::serve::MAX_REQUEST_BYTES;
 
 /// A tiny multiply-accumulate block; `{n}` is replaced to mint distinct blocks.
 const TINY: &str = "dfg tiny{n}\nnode 0 in @a\nnode 1 in @x\nnode 2 in @acc\n\
@@ -415,4 +416,50 @@ fn mid_line_disconnect_is_counted_and_logged() {
         stderr.contains("connection") && stderr.contains("mid-line"),
         "the dropped connection must be logged to stderr, got: {stderr:?}"
     );
+}
+
+/// A request over the size cap is refused with an in-band error before anything
+/// that large is allocated — a 1 TiB `Content-Length` used to abort the whole
+/// daemon — and the daemon keeps serving new connections.
+#[test]
+fn oversized_requests_are_refused_and_the_daemon_keeps_serving() {
+    let daemon = Daemon::spawn(&[]);
+    let refused = |request: &[u8]| {
+        let mut stream = daemon.connect();
+        stream.write_all(request).expect("send request");
+        let mut reply = String::new();
+        stream
+            .read_to_string(&mut reply)
+            .expect("read until the daemon closes");
+        reply
+    };
+
+    let reply = refused(b"POST /v1/enumerate HTTP/1.1\r\nContent-Length: 1099511627776\r\n\r\n");
+    assert!(reply.starts_with("HTTP/1.1 413 "), "{reply}");
+    assert!(reply.contains("\"ok\":false"), "{reply}");
+    let reply = refused(&vec![b'x'; MAX_REQUEST_BYTES + 1]);
+    assert!(
+        reply.starts_with("{\"ok\":false,\"error\":\"a request line exceeds"),
+        "{reply}"
+    );
+
+    let ok = daemon.roundtrip(&request("enumerate", &tiny_block(9), "\"budget\":5000"));
+    assert!(ok.starts_with("{\"ok\":true"), "{ok}");
+    daemon.shutdown();
+}
+
+/// A client's `threads` cannot make the daemon start unbounded worker threads:
+/// the driver caps its pool, and the answer is the one a single thread gives.
+#[test]
+fn huge_thread_counts_are_capped_and_the_daemon_keeps_serving() {
+    let daemon = Daemon::spawn(&[]);
+    let flags = |threads: usize| format!("\"threads\":{threads},\"par-threshold\":1");
+    let many = daemon.roundtrip(&request("enumerate", &tiny_block(0), &flags(1_000_000)));
+    assert!(many.starts_with("{\"ok\":true"), "{many}");
+    let one = daemon.roundtrip(&request("enumerate", &tiny_block(0), &flags(1)));
+    assert_eq!(stripped(&many), stripped(&one));
+
+    let ok = daemon.roundtrip(&request("enumerate", &tiny_block(1), "\"budget\":5000"));
+    assert!(ok.starts_with("{\"ok\":true"), "{ok}");
+    daemon.shutdown();
 }

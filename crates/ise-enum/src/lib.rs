@@ -29,9 +29,10 @@
 //! For large blocks the [`par`] module splits the incremental search at the
 //! first-output level into independent tasks — recursively re-split past a
 //! node-count threshold, scheduled by a work-stealing pool, and merged through a
-//! hash-sharded deterministic reduction — and [`par::parallel_cuts`] reproduces the
-//! serial enumeration (cuts and statistics) exactly for any task count, split
-//! threshold and thread count on unbudgeted runs. [`DedupMode`] selects the §1.2
+//! hash-sharded deterministic reduction. Its one driver, [`par::run_blocks`], runs
+//! many blocks on one pool and reproduces the serial enumeration (cuts and
+//! statistics) exactly for any task count, split threshold and thread count on
+//! unbudgeted runs. [`DedupMode`] selects the §1.2
 //! memory fallback (validate-before-dedup) per run.
 //!
 //! # Example

@@ -12,26 +12,26 @@
 //!
 //! Three mechanisms make the decomposition scale past its static fan-out:
 //!
-//! * **Recursive task splitting.** A task that exceeds [`ParConfig::split_threshold`]
-//!   search nodes *suspends* at its next decision boundary — between first-output
-//!   roots, or between the first-level `PICK-INPUTS` decisions inside a root — and
-//!   emits child tasks covering exactly the untouched remainder. No work is discarded
-//!   or repeated; the suspension point is a pure function of (block, options,
-//!   threshold), so the resulting task tree is identical for every thread count.
-//!   Child ids extend the parent's id ([`TaskId`] is a path; lexicographic order is
-//!   the serial traversal order), which is all the merge needs.
-//! * **Work stealing.** [`WorkStealPool`] gives each worker its own deque: workers
-//!   pop their newest item (their own freshly split children, for locality) and idle
-//!   workers steal the oldest item from a peer — so a skewed subtree that keeps
-//!   splitting is drained by whoever is free, instead of serializing one worker's
-//!   tail. Scheduling order never affects the output: tasks are pure functions and
-//!   the merge sorts by [`TaskId`].
-//! * **Sharded merge.** [`merge_tasks`] stripes the global seen-set by the
-//!   high bits of the cut-key hash into 16 independent shards (the `CanonMemo` stripe
-//!   pattern), computes first-seen/duplicate verdicts per shard — in parallel when
-//!   threads are available — and then emits cuts and statistics in one ordered pass.
-//!   Equal keys always land in the same shard and shard-local order equals the serial
-//!   replay order, so the verdicts (and thus the output bytes) never change.
+//! * **Recursive task splitting.** A task that exceeds its block's split threshold
+//!   ([`BlockJob::split`]) suspends at its next decision boundary — between
+//!   first-output roots, or between the first-level `PICK-INPUTS` decisions inside a
+//!   root — and emits child tasks covering exactly the untouched remainder. No work
+//!   is discarded or repeated; the suspension point is a pure function of (block,
+//!   options, threshold), so the resulting task tree is identical for every thread
+//!   count. Child ids extend the parent's id ([`TaskId`] is a path; lexicographic
+//!   order is the serial traversal order), which is all the merge needs.
+//! * **Work stealing.** The pool gives each worker its own deque: workers pop their
+//!   newest item (their own freshly split children, for locality) and idle workers
+//!   steal the oldest item from a peer — so a skewed subtree that keeps splitting is
+//!   drained by whoever is free, instead of serializing one worker's tail.
+//!   Scheduling order never affects the output: tasks are pure functions and the
+//!   merge sorts by [`TaskId`].
+//! * **Sharded merge.** The merge stripes the global seen-set by the high bits of
+//!   the cut-key hash into 16 independent shards (the `CanonMemo` stripe pattern),
+//!   computes first-seen/duplicate verdicts per shard — in parallel when threads are
+//!   available — and then emits cuts and statistics in one ordered pass. Equal keys
+//!   always land in the same shard and shard-local order equals the serial replay
+//!   order, so the verdicts (and thus the output bytes) never change.
 //!
 //! The merged [`Enumeration`] — cuts *and* statistics — is byte-identical to the
 //! serial run for unbudgeted runs, for **any** task count, split threshold and thread
@@ -39,9 +39,12 @@
 //! split threshold), just not equal to the serially budgeted run; batch drivers must
 //! therefore derive both knobs from the block and flags alone, never from the machine.
 //!
-//! [`parallel_cuts`] bundles split → run/steal → merge behind one call; batch drivers
-//! with their own scheduler (the `ise` CLI) drive [`initial_tasks`], [`run_task_obs`]
-//! and [`merge_tasks`] directly over a shared [`WorkStealPool`].
+//! [`run_blocks`] is the one driver: it runs any number of [`BlockJob`]s — each whole
+//! or split into first-output tasks, with its own engine options and split threshold
+//! — on one work-stealing pool, and hands each block's merged [`BlockRun`] to a
+//! callback on the worker that retires the block. The `ise` batch commands, the
+//! daemon, the E7 experiment and the equivalence tests all run through it.
+//! [`initial_tasks`] and [`run_task`] expose single tasks for replay tools.
 
 use std::collections::VecDeque;
 use std::ops::Range;
@@ -49,6 +52,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
+use ise_graph::Dfg;
 use ise_obs::{Counter, Recorder};
 
 use crate::config::{Constraints, PruningConfig};
@@ -56,7 +60,7 @@ use crate::context::EnumContext;
 use crate::engine::{
     CandidateClass, CutKeySet, DedupMode, EngineOptions, SearchState, TaskHarvest,
 };
-use crate::incremental::{IncrementalEnumerator, SuspendPoint};
+use crate::incremental::{incremental_cuts_with, IncrementalEnumerator, SuspendPoint};
 use crate::result::Enumeration;
 use crate::stats::EnumStats;
 
@@ -64,39 +68,6 @@ use crate::stats::EnumStats;
 /// stripe of `ise-canon`'s `CanonMemo`. Shard routing uses the top four hash bits,
 /// the shard-local probe tables use the low bits — independent partitions.
 const MERGE_SHARDS: usize = 16;
-
-/// Configuration of one [`parallel_cuts`] run.
-#[derive(Clone, Debug, Default)]
-pub struct ParConfig {
-    /// Number of first-output tasks to split the search into up front (clamped to the
-    /// number of candidate outputs; `0` or `1` means one task). The merged result is
-    /// independent of this for unbudgeted runs; with a budget it is deterministic in
-    /// the task count, so derive it from the block, not from the machine.
-    pub tasks: usize,
-    /// Worker threads executing the tasks. Never affects the result, only the wall
-    /// time.
-    pub threads: usize,
-    /// Engine settings shared by every task; `max_search_nodes` applies per task.
-    pub options: EngineOptions,
-    /// Recursive split threshold: a task that exceeds this many search nodes suspends
-    /// at its next decision boundary and hands the remainder to child tasks. `None`
-    /// disables splitting (the static fan-out of `tasks` is final). Like `tasks`,
-    /// this changes the work decomposition but never the unbudgeted result.
-    pub split_threshold: Option<usize>,
-}
-
-impl ParConfig {
-    /// A default-options configuration with the given task and thread counts and no
-    /// recursive splitting.
-    pub fn new(tasks: usize, threads: usize) -> Self {
-        ParConfig {
-            tasks,
-            threads,
-            options: EngineOptions::default(),
-            split_threshold: None,
-        }
-    }
-}
 
 /// Deterministic identity of one task in the (possibly recursive) decomposition.
 ///
@@ -185,9 +156,9 @@ fn split_roots(range: Range<usize>, parts: &mut Vec<(Range<usize>, Option<usize>
     }
 }
 
-/// What one task produced; feed the outputs of a completed decomposition, sorted by
-/// [`TaskId`], to [`merge_tasks`]. Opaque: the classification log inside is
-/// an implementation detail of the merge.
+/// What one task produced; the driver merges the outputs of a completed
+/// decomposition in [`TaskId`] order. Opaque: the classification log inside is an
+/// implementation detail of the merge.
 pub struct TaskOutput {
     harvest: TaskHarvest,
 }
@@ -270,7 +241,7 @@ pub fn run_task(
 /// tasks under their worker threads), the engine's per-phase timings, and split /
 /// child-spawn counters. Recording never changes the task's output.
 #[allow(clippy::too_many_arguments)]
-pub fn run_task_obs(
+fn run_task_obs(
     ctx: &EnumContext,
     constraints: &Constraints,
     pruning: &PruningConfig,
@@ -331,14 +302,14 @@ pub fn run_task_obs(
 /// The pool schedules; it never sequences results. Users tag items with their own
 /// deterministic order (the enumeration tasks carry a [`TaskId`]) and sort after the
 /// pool drains.
-pub struct WorkStealPool<T> {
+struct WorkStealPool<T> {
     queues: Vec<Mutex<VecDeque<T>>>,
     in_flight: AtomicUsize,
     obs: PoolCounters,
 }
 
 /// Counter handles for the pool's scheduling events. All handles are disabled
-/// (single null-check per event) until [`WorkStealPool::set_recorder`] arms them.
+/// (single null-check per event) until `WorkStealPool::set_recorder` arms them.
 #[derive(Default)]
 struct PoolCounters {
     /// Items seeded into the pool up front.
@@ -355,7 +326,7 @@ struct PoolCounters {
 
 impl<T> WorkStealPool<T> {
     /// A pool with one deque per worker.
-    pub fn new(workers: usize) -> Self {
+    fn new(workers: usize) -> Self {
         WorkStealPool {
             queues: (0..workers.max(1)).map(|_| Mutex::default()).collect(),
             in_flight: AtomicUsize::new(0),
@@ -367,7 +338,7 @@ impl<T> WorkStealPool<T> {
     /// `ise_pool_own_pops_total`, `ise_pool_steals_total`, `ise_pool_done_total`).
     /// The ledger `own_pops + steals == done` holds whenever the pool has drained.
     /// Recording never affects scheduling.
-    pub fn set_recorder(&mut self, rec: &dyn Recorder) {
+    fn set_recorder(&mut self, rec: &dyn Recorder) {
         self.obs = PoolCounters {
             seeded: rec.counter("ise_pool_seeded_total"),
             pushed: rec.counter("ise_pool_pushed_total"),
@@ -377,13 +348,8 @@ impl<T> WorkStealPool<T> {
         };
     }
 
-    /// Number of worker deques.
-    pub fn workers(&self) -> usize {
-        self.queues.len()
-    }
-
     /// Distributes initial items round-robin across the worker deques.
-    pub fn seed<I: IntoIterator<Item = T>>(&self, items: I) {
+    fn seed<I: IntoIterator<Item = T>>(&self, items: I) {
         for (i, item) in items.into_iter().enumerate() {
             self.in_flight.fetch_add(1, Ordering::AcqRel);
             self.obs.seeded.incr();
@@ -395,7 +361,7 @@ impl<T> WorkStealPool<T> {
     /// Enqueues an item produced while processing another one onto `worker`'s own
     /// deque. Must be called *before* the producing item's [`done`](Self::done), so
     /// the in-flight count never drops to zero while work remains.
-    pub fn push(&self, worker: usize, item: T) {
+    fn push(&self, worker: usize, item: T) {
         self.in_flight.fetch_add(1, Ordering::AcqRel);
         self.obs.pushed.incr();
         self.queues[worker]
@@ -407,7 +373,7 @@ impl<T> WorkStealPool<T> {
     /// Next item for `worker`: its own deque first (newest), then stealing the oldest
     /// item from a peer. Blocks (spinning with `yield_now`) while other workers still
     /// process items that may split; returns `None` only when everything is done.
-    pub fn pop(&self, worker: usize) -> Option<T> {
+    fn pop(&self, worker: usize) -> Option<T> {
         loop {
             if let Some(item) = self.queues[worker]
                 .lock()
@@ -434,15 +400,15 @@ impl<T> WorkStealPool<T> {
 
     /// Marks one popped item fully processed. Call after pushing any children the
     /// item spawned.
-    pub fn done(&self) {
+    fn done(&self) {
         self.in_flight.fetch_sub(1, Ordering::AcqRel);
         self.obs.done.incr();
     }
 }
 
 /// Merges the outputs of a completed decomposition (sorted by [`TaskId`], which
-/// [`parallel_cuts`] and the CLI scheduler do after draining the pool) into one
-/// [`Enumeration`] via the sharded, parallel-reducible replay.
+/// the driver does when a block's last task retires) into one [`Enumeration`] via
+/// the sharded, parallel-reducible replay.
 ///
 /// Conceptually the merge replays each task's first-seen candidates, in task order,
 /// against a global seen-set: a candidate an earlier task (or an earlier entry of the
@@ -459,7 +425,7 @@ impl<T> WorkStealPool<T> {
 /// With a [`Recorder`] the merge runs under a `merge` span and each seen-set shard's
 /// reduction time lands in the `ise_merge_shard_ns` histogram, making merge
 /// serialization measurable. Recording never changes the merged result.
-pub fn merge_tasks(
+fn merge_tasks(
     ctx: &EnumContext,
     options: &EngineOptions,
     outputs: Vec<TaskOutput>,
@@ -470,20 +436,6 @@ pub fn merge_tasks(
         Some(rec) => rec.span_begin("merge", "merge_tasks"),
         None => ise_obs::SpanToken::NONE,
     };
-    let merged = merge_replay(ctx, options, outputs, threads, rec);
-    if let Some(rec) = rec {
-        rec.span_end(span);
-    }
-    merged
-}
-
-fn merge_replay(
-    ctx: &EnumContext,
-    options: &EngineOptions,
-    outputs: Vec<TaskOutput>,
-    threads: usize,
-    rec: Option<&dyn Recorder>,
-) -> Enumeration {
     let mut stats = EnumStats::new();
     // Counters independent of de-duplication are plain sums: the tasks partition the
     // serial traversal (recursive splits suspend and resume at decision boundaries
@@ -566,6 +518,9 @@ fn merge_replay(
                 }
             }
         }
+    }
+    if let Some(rec) = rec {
+        rec.span_end(span);
     }
     Enumeration { cuts, stats }
 }
@@ -664,33 +619,98 @@ where
     flags
 }
 
-/// A [`parallel_cuts`] run: the merged enumeration plus per-task diagnostics.
-pub struct ParRun {
-    /// The merged result — byte-identical to the serial run when unbudgeted.
-    pub enumeration: Enumeration,
-    /// Per-task `search_nodes`, in deterministic merge ([`TaskId`]) order. Its length
-    /// is the final task count, including recursively split children; the max/mean
-    /// ratio of the values is the load-skew measure the E7 bench reports.
-    pub task_nodes: Vec<usize>,
+/// The most worker threads one [`run_blocks`] call spawns, whatever `threads` asks
+/// for: results do not depend on the worker count, so the cap only bounds what a
+/// caller-supplied count (a daemon request's, say) can make the process start.
+pub const MAX_WORKERS: usize = 256;
+
+/// One block of a [`run_blocks`] call: its graph, its engine settings and how its
+/// search is decomposed.
+pub struct BlockJob<'a> {
+    dfg: &'a Dfg,
+    options: EngineOptions,
+    tasks: Vec<TaskSpec>,
+    split_threshold: Option<usize>,
 }
 
-/// Splits the search into [`ParConfig::tasks`] first-output tasks (recursively
-/// re-split past [`ParConfig::split_threshold`] nodes), runs them on
-/// [`ParConfig::threads`] work-stealing workers, and merges. For unbudgeted runs the
-/// result equals [`crate::incremental_cuts_with`] exactly (cuts and statistics);
-/// neither thread count nor scheduling order ever changes it.
+impl<'a> BlockJob<'a> {
+    /// Splits `dfg` into `tasks` first-output tasks ([`initial_tasks`]), each
+    /// re-split once it exceeds `split_threshold` search nodes (`None` disables
+    /// splitting). `options.max_search_nodes` applies per task. The unbudgeted
+    /// result equals the serial run's for any task count and threshold; with a
+    /// budget it is deterministic in both, so derive them from the block and the
+    /// flags, never from the machine. One task with no threshold is the serial run.
+    pub fn split(
+        dfg: &'a Dfg,
+        options: EngineOptions,
+        tasks: usize,
+        split_threshold: Option<usize>,
+    ) -> Self {
+        BlockJob {
+            dfg,
+            options,
+            tasks: initial_tasks(EnumContext::candidate_output_count(dfg), tasks),
+            split_threshold,
+        }
+    }
+
+    /// Whether the plan is exactly the serial run: no task at all (no candidate
+    /// outputs), or a single task that can never split. Such blocks skip the task
+    /// and merge machinery.
+    fn is_whole(&self) -> bool {
+        self.tasks.is_empty() || (self.tasks.len() == 1 && self.split_threshold.is_none())
+    }
+}
+
+/// What [`run_blocks`] produced for one block.
+pub struct BlockRun {
+    /// The merged result — byte-identical to the serial run when unbudgeted.
+    pub enumeration: Enumeration,
+    /// Per-task `search_nodes` in [`TaskId`] order (one entry for a block run
+    /// whole). Its length is the final task count, recursively split children
+    /// included; the max/mean ratio is the load skew ([`crate::TaskLoadSummary`]).
+    pub task_nodes: Vec<usize>,
+    /// When the first of the block's tasks started, before its context was built.
+    pub started: Instant,
+}
+
+/// In-flight state of one block; the worker retiring its last task merges it.
+struct BlockSlot<R> {
+    ctx: OnceLock<EnumContext>,
+    started: OnceLock<Instant>,
+    /// Tasks queued or running for this block — static tasks up front, plus every
+    /// spawned child (registered before its parent retires).
+    pending: AtomicUsize,
+    outputs: Mutex<Vec<(TaskId, TaskOutput)>>,
+    result: OnceLock<R>,
+}
+
+/// One schedulable unit: a block index plus either a task of its decomposition or
+/// `None` for a whole-block (serial) run.
+type WorkItem = (usize, Option<TaskSpec>);
+
+/// Runs every block of `jobs` on one work-stealing pool of `threads` workers and
+/// returns `finish`'s value for each block, in `jobs` order.
 ///
-/// With a [`Recorder`], worker threads are named in trace output, every task runs
-/// under its own span ([`run_task_obs`]), the pool's scheduling counters are armed,
-/// and the merge is timed per shard. Recording never changes the result — the
-/// obs-identity integration test pins byte equality against recording-off runs.
+/// Whole blocks are single items; split blocks contribute one item per task, and
+/// the children of a task that suspends are pushed onto its worker's own deque. The
+/// worker retiring a block's last task merges the task outputs in [`TaskId`] order
+/// and calls `finish(index, &ctx, run)` with the block's context, which is built
+/// once, on the worker that starts the block. Workers: `threads` when some block can
+/// split, otherwise at most one per item, and never more than [`MAX_WORKERS`].
+///
+/// Tasks are pure functions of the block and the job, and the merge is ordered by
+/// [`TaskId`], so each [`BlockRun`] (its `started` aside) is identical for every
+/// thread count and schedule. With a [`Recorder`], worker threads are named
+/// `worker-N`, every task runs under its own span, the pool's scheduling counters
+/// are armed and the merge is timed per shard; recording never changes a result.
 ///
 /// # Example
 ///
 /// ```
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// use ise_enum::par::{parallel_cuts, ParConfig};
-/// use ise_enum::{incremental_cuts, Constraints, EnumContext, PruningConfig};
+/// use ise_enum::par::{run_blocks, BlockJob};
+/// use ise_enum::{incremental_cuts, Constraints, EngineOptions, EnumContext, PruningConfig};
 /// use ise_graph::{DfgBuilder, Operation};
 ///
 /// let mut b = DfgBuilder::new("bb");
@@ -699,95 +719,157 @@ pub struct ParRun {
 /// let n = b.node(Operation::Add, &[a, c]);
 /// let x = b.node(Operation::Shl, &[n]);
 /// let _y = b.node(Operation::Sub, &[n, c]);
-/// let ctx = EnumContext::new(b.build()?);
+/// let dfg = b.build()?;
 /// let constraints = Constraints::new(3, 2)?;
 /// let pruning = PruningConfig::all();
 ///
-/// let serial = incremental_cuts(&ctx, &constraints, &pruning);
-/// let par = parallel_cuts(&ctx, &constraints, &pruning, &ParConfig::new(2, 2), None);
-/// assert_eq!(par.enumeration.stats, serial.stats);
+/// let serial = incremental_cuts(&EnumContext::new(dfg.clone()), &constraints, &pruning);
+/// let job = BlockJob::split(&dfg, EngineOptions::default(), 2, None);
+/// let runs = run_blocks(&[job], &constraints, &pruning, 2, None, |_, _, run| run);
+/// assert_eq!(runs[0].enumeration.stats, serial.stats);
+/// assert_eq!(runs[0].task_nodes.len(), 2);
 /// # Ok(())
 /// # }
 /// ```
-pub fn parallel_cuts(
-    ctx: &EnumContext,
+pub fn run_blocks<R, F>(
+    jobs: &[BlockJob<'_>],
     constraints: &Constraints,
     pruning: &PruningConfig,
-    config: &ParConfig,
+    threads: usize,
     rec: Option<&dyn Recorder>,
-) -> ParRun {
-    let candidates = ctx.candidate_outputs().len();
-    let tasks = config.tasks.clamp(1, candidates.max(1));
-    let specs = initial_tasks(candidates, tasks);
-    if specs.is_empty() || (specs.len() == 1 && config.split_threshold.is_none()) {
-        // Degenerate decompositions (no candidates, or a single task with splitting
-        // off) are exactly the serial run; skip the scheduler and the merge replay.
-        let enumeration = crate::incremental::incremental_cuts_with(
-            ctx,
-            constraints,
-            pruning,
-            &config.options,
-            rec,
-        );
-        let nodes = enumeration.stats.search_nodes;
-        return ParRun {
-            enumeration,
-            task_nodes: vec![nodes],
-        };
-    }
-    // With recursive splitting a single initial task can still fan out, so only the
-    // static decomposition clamps workers to the task count.
-    let workers = match config.split_threshold {
-        Some(_) => config.threads.max(1),
-        None => config.threads.clamp(1, specs.len()),
+    finish: F,
+) -> Vec<R>
+where
+    R: Send + Sync,
+    F: Fn(usize, &EnumContext, BlockRun) -> R + Sync,
+{
+    let slots: Vec<BlockSlot<R>> = jobs
+        .iter()
+        .map(|job| BlockSlot {
+            ctx: OnceLock::new(),
+            started: OnceLock::new(),
+            pending: AtomicUsize::new(job.tasks.len().max(1)),
+            outputs: Mutex::new(Vec::new()),
+            result: OnceLock::new(),
+        })
+        .collect();
+    let items: Vec<WorkItem> = jobs
+        .iter()
+        .enumerate()
+        .flat_map(|(block, job)| -> Vec<WorkItem> {
+            if job.is_whole() {
+                vec![(block, None)]
+            } else {
+                job.tasks
+                    .iter()
+                    .map(|spec| (block, Some(spec.clone())))
+                    .collect()
+            }
+        })
+        .collect();
+
+    // A splitting task can fan out past the initial items, so only a run that can
+    // never split clamps the workers to the item count. `threads` may come from a
+    // client, so the pool never exceeds MAX_WORKERS.
+    let can_split = jobs
+        .iter()
+        .any(|job| !job.is_whole() && job.split_threshold.is_some());
+    let wanted = if can_split {
+        threads
+    } else {
+        threads.min(items.len())
     };
+    let workers = wanted.clamp(1, MAX_WORKERS);
     let mut pool = WorkStealPool::new(workers);
     if let Some(rec) = rec {
         pool.set_recorder(rec);
     }
-    pool.seed(specs);
-    let results: Mutex<Vec<(TaskId, TaskOutput)>> = Mutex::new(Vec::new());
+    pool.seed(items);
+
+    let finish_block = |block: usize, ctx: &EnumContext, enumeration, task_nodes, started| {
+        let run = BlockRun {
+            enumeration,
+            task_nodes,
+            started,
+        };
+        let result = finish(block, ctx, run);
+        assert!(
+            slots[block].result.set(result).is_ok(),
+            "each block is finished exactly once"
+        );
+    };
+    // Executes one work item; the worker retiring a block's last task merges and
+    // finishes the block.
+    let run_item = |block: usize, spec: Option<TaskSpec>, worker: usize| {
+        let (job, slot) = (&jobs[block], &slots[block]);
+        let started = *slot.started.get_or_init(Instant::now);
+        let ctx = slot.ctx.get_or_init(|| EnumContext::new(job.dfg.clone()));
+        let Some(spec) = spec else {
+            // Whole-block item: run the serial engine directly, no merge needed.
+            let enumeration = incremental_cuts_with(ctx, constraints, pruning, &job.options, rec);
+            let task_nodes = vec![enumeration.stats.search_nodes];
+            finish_block(block, ctx, enumeration, task_nodes, started);
+            return;
+        };
+        let (output, children) = run_task_obs(
+            ctx,
+            constraints,
+            pruning,
+            &job.options,
+            job.split_threshold,
+            &spec,
+            rec,
+        );
+        if !children.is_empty() {
+            // Register the children before retiring this task, so the block can never
+            // look complete while split-off work is still queued.
+            slot.pending.fetch_add(children.len(), Ordering::AcqRel);
+            for child in children {
+                pool.push(worker, (block, Some(child)));
+            }
+        }
+        slot.outputs
+            .lock()
+            .expect("task output list poisoned")
+            .push((spec.id, output));
+        // The last task to retire (the mutex pushes above synchronize with this
+        // acquire) merges in TaskId order — the serial order, whatever the schedule.
+        if slot.pending.fetch_sub(1, Ordering::AcqRel) == 1 {
+            let mut outputs =
+                std::mem::take(&mut *slot.outputs.lock().expect("task output list poisoned"));
+            outputs.sort_by(|a, b| a.0.cmp(&b.0));
+            let task_nodes = outputs
+                .iter()
+                .map(|(_, out)| out.stats().search_nodes)
+                .collect();
+            let outputs: Vec<TaskOutput> = outputs.into_iter().map(|(_, out)| out).collect();
+            let enumeration = merge_tasks(ctx, &job.options, outputs, threads, rec);
+            finish_block(block, ctx, enumeration, task_nodes, started);
+        }
+    };
     std::thread::scope(|scope| {
         for worker in 0..workers {
-            let pool = &pool;
-            let results = &results;
+            let (pool, run_item) = (&pool, &run_item);
             scope.spawn(move || {
                 if let Some(rec) = rec {
                     rec.set_thread_name(&format!("worker-{worker}"));
                 }
-                while let Some(spec) = pool.pop(worker) {
-                    let (output, children) = run_task_obs(
-                        ctx,
-                        constraints,
-                        pruning,
-                        &config.options,
-                        config.split_threshold,
-                        &spec,
-                        rec,
-                    );
-                    for child in children {
-                        pool.push(worker, child);
-                    }
-                    results
-                        .lock()
-                        .expect("result lock poisoned")
-                        .push((spec.id, output));
+                while let Some((block, spec)) = pool.pop(worker) {
+                    run_item(block, spec, worker);
                     pool.done();
                 }
             });
         }
     });
-    let mut outputs = results.into_inner().expect("result lock poisoned");
-    outputs.sort_by(|a, b| a.0.cmp(&b.0));
-    let task_nodes = outputs
-        .iter()
-        .map(|(_, out)| out.stats().search_nodes)
-        .collect();
-    let outputs: Vec<TaskOutput> = outputs.into_iter().map(|(_, out)| out).collect();
-    ParRun {
-        enumeration: merge_tasks(ctx, &config.options, outputs, config.threads, rec),
-        task_nodes,
-    }
+
+    slots
+        .into_iter()
+        .map(|slot| {
+            slot.result
+                .into_inner()
+                .expect("every scheduled block was finished")
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -813,6 +895,25 @@ mod tests {
         b.mark_output(y);
         b.mark_output(z);
         EnumContext::new(b.build().unwrap())
+    }
+
+    /// The block of `ctx` through the driver: `tasks` first-output tasks re-split
+    /// past `split_threshold` nodes, on `threads` workers, all prunings on.
+    fn drive(
+        ctx: &EnumContext,
+        constraints: &Constraints,
+        options: EngineOptions,
+        tasks: usize,
+        split_threshold: Option<usize>,
+        threads: usize,
+    ) -> BlockRun {
+        let job = BlockJob::split(ctx.dfg(), options, tasks, split_threshold);
+        let pruning = PruningConfig::all();
+        run_blocks(&[job], constraints, &pruning, threads, None, |_, _, run| {
+            run
+        })
+        .pop()
+        .expect("one block, one run")
     }
 
     fn assert_identical(par: &Enumeration, serial: &Enumeration, label: &str) {
@@ -854,7 +955,7 @@ mod tests {
         pool.seed([10, 20, 30]);
         let drained = Mutex::new(Vec::new());
         std::thread::scope(|scope| {
-            for worker in 0..pool.workers() {
+            for worker in 0..3 {
                 let pool = &pool;
                 let drained = &drained;
                 scope.spawn(move || {
@@ -875,90 +976,43 @@ mod tests {
     }
 
     #[test]
-    fn merged_tasks_reproduce_the_serial_run_exactly() {
+    fn driver_reproduces_the_serial_run_exactly() {
         let ctx = cross_task_ctx();
         let constraints = Constraints::new(4, 2).unwrap();
-        let pruning = PruningConfig::all();
-        let serial = incremental_cuts_with(
-            &ctx,
-            &constraints,
-            &pruning,
-            &EngineOptions::default(),
-            None,
-        );
+        let options = EngineOptions::default();
+        let serial =
+            incremental_cuts_with(&ctx, &constraints, &PruningConfig::all(), &options, None);
         assert!(
             serial.stats.rejected_duplicate > 0,
             "the fixture must exercise cross-subtree duplicates"
         );
-        for tasks in [2, 3, ctx.candidate_outputs().len()] {
-            for threads in [1, 2, 4] {
-                let mut config = ParConfig::new(tasks, threads);
-                config.options = EngineOptions::default();
-                let par = parallel_cuts(&ctx, &constraints, &pruning, &config, None);
-                assert_identical(
-                    &par.enumeration,
-                    &serial,
-                    &format!("tasks={tasks} threads={threads}"),
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn recursive_splitting_reproduces_the_serial_run_exactly() {
-        let ctx = cross_task_ctx();
-        let constraints = Constraints::new(4, 2).unwrap();
-        let pruning = PruningConfig::all();
-        let serial = incremental_cuts_with(
-            &ctx,
-            &constraints,
-            &pruning,
-            &EngineOptions::default(),
-            None,
-        );
-        for split_threshold in [1, 2, 5, 50] {
-            for tasks in [1, 2, 4] {
-                for threads in [1, 3] {
-                    let mut config = ParConfig::new(tasks, threads);
-                    config.split_threshold = Some(split_threshold);
-                    let run = parallel_cuts(&ctx, &constraints, &pruning, &config, None);
-                    assert_identical(
-                        &run.enumeration,
-                        &serial,
-                        &format!("split={split_threshold} tasks={tasks} threads={threads}"),
-                    );
+        for split_threshold in [None, Some(1), Some(2), Some(5), Some(50)] {
+            for tasks in [1, 2, 3, 4, ctx.candidate_outputs().len()] {
+                let mut plan = None;
+                for threads in [1, 2, 4] {
+                    let label =
+                        format!("split={split_threshold:?} tasks={tasks} threads={threads}");
+                    let run = drive(&ctx, &constraints, options, tasks, split_threshold, threads);
+                    assert_identical(&run.enumeration, &serial, &label);
                     assert_eq!(
                         run.task_nodes.iter().sum::<usize>(),
                         serial.stats.search_nodes,
-                        "zero-waste splitting: per-task nodes sum to the serial count"
+                        "{label}: zero-waste splitting sums to the serial node count"
+                    );
+                    let plan = plan.get_or_insert_with(|| run.task_nodes.clone());
+                    assert_eq!(
+                        *plan, run.task_nodes,
+                        "{label}: split plan depends on threads"
                     );
                 }
             }
         }
         // A tiny threshold must actually exercise splitting.
-        let mut config = ParConfig::new(1, 1);
-        config.split_threshold = Some(1);
-        let run = parallel_cuts(&ctx, &constraints, &pruning, &config, None);
+        let run = drive(&ctx, &constraints, options, 1, Some(1), 1);
         assert!(
             run.task_nodes.len() > 1,
             "threshold 1 must split the single initial task"
         );
-    }
-
-    #[test]
-    fn splitting_is_deterministic_in_the_thread_count() {
-        let ctx = cross_task_ctx();
-        let constraints = Constraints::new(4, 2).unwrap();
-        let pruning = PruningConfig::all();
-        let mut plans = Vec::new();
-        for threads in [1, 2, 8] {
-            let mut config = ParConfig::new(2, threads);
-            config.split_threshold = Some(3);
-            let run = parallel_cuts(&ctx, &constraints, &pruning, &config, None);
-            plans.push(run.task_nodes);
-        }
-        assert_eq!(plans[0], plans[1], "split plan must not depend on threads");
-        assert_eq!(plans[0], plans[2], "split plan must not depend on threads");
     }
 
     #[test]
@@ -973,10 +1027,7 @@ mod tests {
             };
             let serial = incremental_cuts_with(&ctx, &constraints, &pruning, &options, None);
             for split_threshold in [None, Some(4)] {
-                let mut config = ParConfig::new(3, 2);
-                config.options = options;
-                config.split_threshold = split_threshold;
-                let par = parallel_cuts(&ctx, &constraints, &pruning, &config, None);
+                let par = drive(&ctx, &constraints, options, 3, split_threshold, 2);
                 assert_identical(
                     &par.enumeration,
                     &serial,
@@ -987,94 +1038,40 @@ mod tests {
     }
 
     #[test]
-    fn sharded_merge_is_thread_count_invariant() {
+    fn hand_run_tasks_merge_like_the_driver_for_any_merge_threads() {
+        // Split → run → merge by hand, one task at a time.
         let ctx = cross_task_ctx();
         let constraints = Constraints::new(4, 2).unwrap();
         let pruning = PruningConfig::all();
         let options = EngineOptions::default();
-        let run = |merge_threads: usize| {
+        let driven = drive(&ctx, &constraints, options, 3, None, 1);
+        for merge_threads in [1, 2, 8] {
             let outputs: Vec<TaskOutput> = initial_tasks(ctx.candidate_outputs().len(), 3)
                 .iter()
                 .map(|spec| run_task(&ctx, &constraints, &pruning, &options, None, spec).0)
                 .collect();
-            merge_tasks(&ctx, &options, outputs, merge_threads, None)
-        };
-        let serial_merge = run(1);
-        for merge_threads in [2, 8] {
-            assert_identical(
-                &run(merge_threads),
-                &serial_merge,
-                &format!("merge threads={merge_threads}"),
-            );
+            assert!(outputs.iter().all(|o| o.stats().search_nodes > 0));
+            let merged = merge_tasks(&ctx, &options, outputs, merge_threads, None);
+            let label = format!("merge threads={merge_threads}");
+            assert_identical(&merged, &driven.enumeration, &label);
         }
     }
 
     #[test]
-    fn manual_stage_pipeline_matches_the_bundled_entry_point() {
-        // Drive split → run → merge directly, as the CLI's scheduler does.
+    fn budgeted_tasks_are_deterministic_and_never_split() {
+        // A budget below the split threshold truncates tasks before they can split.
         let ctx = cross_task_ctx();
         let constraints = Constraints::new(4, 2).unwrap();
-        let pruning = PruningConfig::all();
-        let options = EngineOptions::default();
-        let outputs: Vec<TaskOutput> = initial_tasks(ctx.candidate_outputs().len(), 2)
-            .iter()
-            .map(|spec| run_task(&ctx, &constraints, &pruning, &options, None, spec).0)
-            .collect();
-        assert!(outputs.iter().all(|o| o.stats().search_nodes > 0));
-        let merged = merge_tasks(&ctx, &options, outputs, 1, None);
-        let mut config = ParConfig::new(2, 1);
-        config.options = options;
-        let bundled = parallel_cuts(&ctx, &constraints, &pruning, &config, None);
-        assert_identical(&merged, &bundled.enumeration, "manual vs bundled");
-    }
-
-    #[test]
-    fn budgeted_tasks_are_deterministic_in_the_task_count() {
-        let ctx = cross_task_ctx();
-        let constraints = Constraints::new(4, 2).unwrap();
-        let pruning = PruningConfig::all();
-        let options = EngineOptions {
-            max_search_nodes: Some(25),
-            ..EngineOptions::default()
-        };
-        let mut reference = None;
-        for threads in [1, 3] {
-            let mut config = ParConfig::new(3, threads);
-            config.options = options;
-            let run = parallel_cuts(&ctx, &constraints, &pruning, &config, None).enumeration;
-            match &reference {
-                None => reference = Some(run),
-                Some(first) => assert_identical(&run, first, "budgeted determinism"),
-            }
-        }
-    }
-
-    #[test]
-    fn budget_exhaustion_suppresses_splitting() {
-        // A budget below the split threshold truncates tasks before they can split:
-        // the run must behave exactly like the pre-splitting implementation.
-        let ctx = cross_task_ctx();
-        let constraints = Constraints::new(4, 2).unwrap();
-        let pruning = PruningConfig::all();
         let options = EngineOptions {
             max_search_nodes: Some(10),
             ..EngineOptions::default()
         };
-        let mut plain = ParConfig::new(2, 1);
-        plain.options = options;
-        let mut split = plain.clone();
-        split.split_threshold = Some(10_000);
-        let base = parallel_cuts(&ctx, &constraints, &pruning, &plain, None);
-        let with_split = parallel_cuts(&ctx, &constraints, &pruning, &split, None);
-        assert_identical(
-            &with_split.enumeration,
-            &base.enumeration,
-            "budget wins over splitting",
-        );
-        assert_eq!(
-            with_split.task_nodes.len(),
-            base.task_nodes.len(),
-            "no children under an exhausted budget"
-        );
+        let base = drive(&ctx, &constraints, options, 3, None, 1);
+        for (split_threshold, threads) in [(None, 3), (Some(10_000), 1), (Some(10_000), 3)] {
+            let run = drive(&ctx, &constraints, options, 3, split_threshold, threads);
+            let label = format!("split={split_threshold:?} threads={threads}");
+            assert_identical(&run.enumeration, &base.enumeration, &label);
+            assert_eq!(run.task_nodes, base.task_nodes, "{label}: no children");
+        }
     }
 }

@@ -77,10 +77,11 @@ fn batch_cli_counts_equal_direct_engine_runs_for_any_thread_count() {
     assert_eq!(aggregate(&single), aggregate(&eight));
 }
 
-/// PR 4 extension of the invariance above, down to task-level sharding: with
-/// intra-block fan-out forced on every (small) committed block, any thread count and
-/// the serial whole-block runs must all report identical outcomes — statistics
-/// included, since the task merge replays the serial discovery order exactly.
+/// The invariance above, down to task-level sharding: with intra-block fan-out
+/// forced on every (small) committed block, any thread count and the serial
+/// whole-block runs must all report identical outcomes — statistics included, since
+/// the task merge replays the serial discovery order exactly. A 1000-node split
+/// threshold re-splits tasks of several blocks within the same driver run.
 #[test]
 fn task_level_sharding_is_invariant_on_the_committed_corpus() {
     let blocks: Vec<CorpusBlock> = committed_corpus()
@@ -101,21 +102,35 @@ fn task_level_sharding_is_invariant_on_the_committed_corpus() {
     let serial = run_batch_obs(&blocks, &config(1, usize::MAX), None);
     for threads in [1, 8] {
         let fanned = run_batch_obs(&blocks, &config(threads, 1), None);
-        assert_eq!(serial.len(), fanned.len());
-        let mut total = 0usize;
-        for (a, b) in serial.iter().zip(&fanned) {
-            assert_eq!(a.name, b.name);
-            assert!(b.tasks > 1, "{} did not fan out", b.name);
-            assert_eq!(
-                a.enumeration.stats, b.enumeration.stats,
-                "task sharding changed the stats of {} at {threads} threads",
-                a.name
-            );
-            let ak: Vec<_> = a.enumeration.cuts.iter().map(|c| c.key()).collect();
-            let bk: Vec<_> = b.enumeration.cuts.iter().map(|c| c.key()).collect();
-            assert_eq!(ak, bk, "task sharding changed the cuts of {}", a.name);
-            total += b.enumeration.cuts.len();
+        let mut split_config = config(threads, 1);
+        split_config.split_threshold = Some(1000);
+        let split = run_batch_obs(&blocks, &split_config, None);
+        let resplit = split
+            .iter()
+            .zip(&fanned)
+            .filter(|(s, f)| s.tasks > f.tasks)
+            .count();
+        assert!(
+            resplit >= 2,
+            "a 1000-node threshold must re-split several blocks, got {resplit}"
+        );
+        for (leg, outcomes) in [("fanned", &fanned), ("split@1000", &split)] {
+            assert_eq!(serial.len(), outcomes.len());
+            let mut total = 0usize;
+            for (a, b) in serial.iter().zip(outcomes) {
+                assert_eq!(a.name, b.name);
+                assert!(b.tasks > 1, "{} did not fan out", b.name);
+                assert_eq!(
+                    a.enumeration.stats, b.enumeration.stats,
+                    "{leg} changed the stats of {} at {threads} threads",
+                    a.name
+                );
+                let ak: Vec<_> = a.enumeration.cuts.iter().map(|c| c.key()).collect();
+                let bk: Vec<_> = b.enumeration.cuts.iter().map(|c| c.key()).collect();
+                assert_eq!(ak, bk, "{leg} changed the cuts of {}", a.name);
+                total += b.enumeration.cuts.len();
+            }
+            assert!(total > 0, "the small committed blocks have cuts");
         }
-        assert!(total > 0, "the small committed blocks have cuts");
     }
 }

@@ -1,14 +1,15 @@
-//! Task-parallel enumeration equivalence: `par(tasks=k, threads=t)` must reproduce
+//! Task-parallel enumeration equivalence: the `par::run_blocks` driver (the code the
+//! `ise` batch commands and daemon run) with `k` tasks on `t` threads must reproduce
 //! the serial `incremental_cuts_with` result — the cut list *and* the statistics — across all
 //! four `ise-workloads` families, every §5.3 pruning combination, and several
 //! (tasks, threads) configurations. This is the end-to-end form of the DESIGN.md §1.4
 //! argument that first-output subtrees are independent and the merge replays the
 //! serial de-duplication order.
 
-use ise_repro::ise_enum::par::{parallel_cuts, ParConfig};
+use ise_repro::ise_enum::par::{run_blocks, BlockJob, BlockRun};
 use ise_repro::ise_enum::{
-    incremental_cuts_with, Constraints, Cut, CutKey, DedupMode, EngineOptions, EnumContext,
-    Enumeration, PruningConfig, TaskLoadSummary,
+    incremental_cuts, incremental_cuts_with, Constraints, Cut, CutKey, DedupMode, EngineOptions,
+    EnumContext, Enumeration, PruningConfig, TaskLoadSummary,
 };
 use ise_repro::ise_graph::Dfg;
 use ise_repro::ise_workloads::compile_block;
@@ -52,6 +53,23 @@ fn keys(result: &Enumeration) -> Vec<CutKey<'_>> {
     result.cuts.iter().map(Cut::key).collect()
 }
 
+/// `tasks` first-output tasks of `ctx`'s block, re-split past `split_threshold` nodes, on
+/// `threads` workers of the parallel driver.
+fn drive(
+    ctx: &EnumContext,
+    constraints: &Constraints,
+    pruning: &PruningConfig,
+    options: EngineOptions,
+    tasks: usize,
+    split_threshold: Option<usize>,
+    threads: usize,
+) -> BlockRun {
+    let job = BlockJob::split(ctx.dfg(), options, tasks, split_threshold);
+    run_blocks(&[job], constraints, pruning, threads, None, |_, _, run| run)
+        .pop()
+        .expect("one block, one run")
+}
+
 /// The headline property: parallel ≡ serial, exactly, per family × pruning mask ×
 /// (tasks, threads) — statistics included, so even the duplicate accounting of the
 /// merge must replay the serial discovery order.
@@ -63,22 +81,11 @@ fn parallel_equals_serial_across_families_and_prunings() {
         let constraints = Constraints::new(3, 2).unwrap();
         for mask in 0u8..64 {
             let pruning = pruning_from_mask(mask);
-            let serial = incremental_cuts_with(
-                &ctx,
-                &constraints,
-                &pruning,
-                &EngineOptions::default(),
-                None,
-            );
+            let serial = incremental_cuts(&ctx, &constraints, &pruning);
             for (tasks, threads) in [(2, 2), (5, 3)] {
-                let par = parallel_cuts(
-                    &ctx,
-                    &constraints,
-                    &pruning,
-                    &ParConfig::new(tasks, threads),
-                    None,
-                )
-                .enumeration;
+                let options = EngineOptions::default();
+                let par = drive(&ctx, &constraints, &pruning, options, tasks, None, threads);
+                let par = par.enumeration;
                 assert_eq!(
                     par.stats, serial.stats,
                     "`{name}` mask {mask:#08b} tasks={tasks} threads={threads}: stats"
@@ -111,9 +118,7 @@ fn parallel_equals_serial_under_dedup_modes_and_connectedness() {
                 };
                 let pruning = PruningConfig::all();
                 let serial = incremental_cuts_with(&ctx, &constraints, &pruning, &options, None);
-                let mut config = ParConfig::new(4, 2);
-                config.options = options;
-                let par = parallel_cuts(&ctx, &constraints, &pruning, &config, None).enumeration;
+                let par = drive(&ctx, &constraints, &pruning, options, 4, None, 2).enumeration;
                 assert_eq!(
                     par.stats,
                     serial.stats,
@@ -134,15 +139,9 @@ fn more_tasks_than_candidates_is_harmless() {
     let ctx = EnumContext::new(dfg);
     let constraints = Constraints::new(3, 2).unwrap();
     let pruning = PruningConfig::all();
-    let serial = incremental_cuts_with(
-        &ctx,
-        &constraints,
-        &pruning,
-        &EngineOptions::default(),
-        None,
-    );
-    let par = parallel_cuts(&ctx, &constraints, &pruning, &ParConfig::new(1000, 8), None);
-    let par = par.enumeration;
+    let serial = incremental_cuts(&ctx, &constraints, &pruning);
+    let options = EngineOptions::default();
+    let par = drive(&ctx, &constraints, &pruning, options, 1000, None, 8).enumeration;
     assert_eq!(par.stats, serial.stats);
     assert_eq!(keys(&par), keys(&serial));
 }
@@ -159,20 +158,13 @@ fn recursive_splitting_equals_serial_across_the_grid() {
         let ctx = EnumContext::new(dfg);
         let constraints = Constraints::new(3, 2).unwrap();
         let pruning = PruningConfig::all();
-        let serial = incremental_cuts_with(
-            &ctx,
-            &constraints,
-            &pruning,
-            &EngineOptions::default(),
-            None,
-        );
+        let serial = incremental_cuts(&ctx, &constraints, &pruning);
         for split_threshold in [1usize, 3, 20, 1_000_000] {
             for tasks in [1usize, 2, 5] {
                 for threads in [1usize, 3] {
-                    let mut config = ParConfig::new(tasks, threads);
-                    config.split_threshold = Some(split_threshold);
-                    let par =
-                        parallel_cuts(&ctx, &constraints, &pruning, &config, None).enumeration;
+                    let (options, split) = (EngineOptions::default(), Some(split_threshold));
+                    let par = drive(&ctx, &constraints, &pruning, options, tasks, split, threads);
+                    let par = par.enumeration;
                     assert_eq!(
                         par.stats, serial.stats,
                         "`{name}` split={split_threshold} tasks={tasks} threads={threads}: stats"
@@ -197,24 +189,17 @@ fn forced_splitting_on_the_skewed_block_splits_and_stays_exact() {
     let ctx = EnumContext::new(dfg);
     let constraints = Constraints::new(4, 2).unwrap();
     let pruning = PruningConfig::all();
-    let serial = incremental_cuts_with(
-        &ctx,
-        &constraints,
-        &pruning,
-        &EngineOptions::default(),
-        None,
-    );
+    let serial = incremental_cuts(&ctx, &constraints, &pruning);
 
-    let static_run = parallel_cuts(&ctx, &constraints, &pruning, &ParConfig::new(8, 2), None);
+    let options = EngineOptions::default();
+    let static_run = drive(&ctx, &constraints, &pruning, options, 8, None, 2);
     let static_skew = TaskLoadSummary::from_task_nodes(&static_run.task_nodes).skew_ratio();
     assert!(
         static_skew > 2.0,
         "the workload must skew a count-balanced fan-out, got {static_skew:.2}"
     );
 
-    let mut config = ParConfig::new(8, 2);
-    config.split_threshold = Some(10_000);
-    let split_run = parallel_cuts(&ctx, &constraints, &pruning, &config, None);
+    let split_run = drive(&ctx, &constraints, &pruning, options, 8, Some(10_000), 2);
     assert!(
         split_run.task_nodes.len() > static_run.task_nodes.len(),
         "a 10k-node threshold must split the heavy ranges"
