@@ -18,11 +18,19 @@
 //! connections); on a single-CPU container the numbers are recorded without the
 //! assertion — the artifact's `tcp.cpus` field says which world produced it.
 //!
+//! A third phase times what a client that opens a **new connection per request**
+//! waits for (curl against the HTTP shim, a toolflow calling block by block):
+//! 51 warm `POST /v1/enumerate` requests (11 in smoke mode), each on its own
+//! connection with `Connection: close`, timed from `connect` to the last
+//! response byte. The median and p90 sit beside the persistent throughput; in
+//! full mode the median must stay under 10 ms, far above a warm answer and far
+//! below any accept-loop poll interval.
+//!
 //! The stdout report is CSV (one row per block with cold/warm latency and speedup);
-//! the committed `BENCH_serve.json` artifact (schema v2) records the same rows plus
-//! corpus-level aggregates and the TCP throughput phase. In full mode the bench
-//! asserts the aggregate warm speedup is at least 100x — the headline number the
-//! cache exists to deliver.
+//! the `BENCH_serve.json` artifact it writes (schema v3) records the same rows plus
+//! corpus-level aggregates, the TCP throughput phase and the new-connection phase.
+//! In full mode the bench asserts the aggregate warm speedup is at least 100x —
+//! the headline number the cache exists to deliver.
 //!
 //! Options (key=value): `corpus` (default `corpus`), `budget` (default 100000 search
 //! nodes per block, 20000 in smoke mode; 0 = unbounded), `nin`/`nout` (default 4/2),
@@ -33,7 +41,7 @@
 //! artifact), `smoke` (also accepted as a bare `--smoke` flag): first 3 blocks
 //! only, no speedup assertions — the CI fast path.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::process::{Child, ChildStdin, ChildStdout, Command, Stdio};
 use std::time::{Duration, Instant};
@@ -190,6 +198,41 @@ fn warm_throughput(server: &TcpServer, requests: &[String], clients: usize, roun
     answered as f64 / started.elapsed().as_secs_f64()
 }
 
+/// Client-side milliseconds of one warm `POST /v1/enumerate` of `request` on a
+/// new connection (`Connection: close`), from `connect` to the last response
+/// byte. The request line doubles as the body: its `op` matches the path.
+fn newconn_roundtrip_ms(server: &TcpServer, request: &str) -> f64 {
+    let started = Instant::now();
+    let mut stream = server.connect();
+    write!(
+        stream,
+        "POST /v1/enumerate HTTP/1.1\r\nHost: localhost\r\nContent-Length: {}\r\n\
+         Connection: close\r\n\r\n{request}",
+        request.len()
+    )
+    .expect("request written");
+    let mut reply = String::new();
+    stream
+        .read_to_string(&mut reply)
+        .expect("response read to close");
+    let elapsed_ms = started.elapsed().as_secs_f64() * 1_000.0;
+    assert!(
+        reply.starts_with("HTTP/1.1 200 "),
+        "request failed: {reply}"
+    );
+    assert!(
+        reply.contains("\"cached\":true"),
+        "new-connection requests must hit the warm cache: {reply}"
+    );
+    elapsed_ms
+}
+
+/// The nearest-rank `q`-quantile (0 < q <= 1) of an ascending sample.
+fn quantile(sorted: &[f64], q: f64) -> f64 {
+    let rank = (q * sorted.len() as f64).ceil() as usize;
+    sorted[rank.clamp(1, sorted.len()) - 1]
+}
+
 /// The raw `result` payload bytes of an `ok:true` envelope. Taking the substring
 /// (rather than parse + re-render) keeps the cold/warm comparison a true byte
 /// identity check on what the daemon actually emitted.
@@ -229,6 +272,7 @@ fn main() {
     let out_path = opts.string("out", if smoke { "-" } else { "BENCH_serve.json" });
     let clients = opts.usize("clients", 4).max(1);
     let rounds = opts.usize("rounds", if smoke { 2 } else { 8 }).max(1);
+    let newconn = if smoke { 11 } else { 51 };
     let bin = opts.string("bin", &default_bin());
     if !std::path::Path::new(&bin).exists() {
         panic!(
@@ -386,6 +430,12 @@ fn main() {
     }
     let single_rps = warm_throughput(&tcp, &requests, 1, rounds);
     let multi_rps = warm_throughput(&tcp, &requests, clients, rounds);
+    let mut newconn_ms: Vec<f64> = (0..newconn)
+        .map(|i| newconn_roundtrip_ms(&tcp, &requests[i % requests.len()]))
+        .collect();
+    newconn_ms.sort_by(f64::total_cmp);
+    let newconn_p50 = quantile(&newconn_ms, 0.5);
+    let newconn_p90 = quantile(&newconn_ms, 0.9);
     tcp.shutdown();
     let tcp_speedup = if single_rps > 0.0 {
         multi_rps / single_rps
@@ -395,6 +445,10 @@ fn main() {
     println!(
         "# tcp warm throughput: 1 client {single_rps:.0} req/s, {clients} clients \
          {multi_rps:.0} req/s ({tcp_speedup:.2}x aggregate, {cpus} cpus)"
+    );
+    println!(
+        "# tcp new connection per request: p50 {newconn_p50:.3} ms, p90 {newconn_p90:.3} ms \
+         over {newconn} warm HTTP requests"
     );
     // Warm requests are lock-then-lookup, so parallel connections scale on real
     // cores; a 1-CPU container interleaves them and the ratio hovers around 1x —
@@ -407,10 +461,17 @@ fn main() {
              (got {tcp_speedup:.2}x)"
         );
     }
+    if !smoke {
+        assert!(
+            newconn_p50 < 10.0,
+            "a warm request on a new connection must answer in under 10 ms \
+             (median {newconn_p50:.3} ms)"
+        );
+    }
 
     if out_path != "-" {
         let doc = Json::object([
-            ("schema", Json::str("ise-bench/serve/v2")),
+            ("schema", Json::str("ise-bench/serve/v3")),
             ("meta", ise_bench::bench_meta("disabled")),
             ("corpus", Json::str(corpus)),
             ("nin", Json::uint(nin)),
@@ -447,6 +508,9 @@ fn main() {
                     ("single_client_rps", Json::num(single_rps)),
                     ("multi_client_rps", Json::num(multi_rps)),
                     ("multi_client_speedup", Json::num(tcp_speedup)),
+                    ("newconn_requests", Json::uint(newconn)),
+                    ("newconn_p50_ms", Json::num(newconn_p50)),
+                    ("newconn_p90_ms", Json::num(newconn_p90)),
                 ]),
             ),
         ]);

@@ -28,7 +28,7 @@
 //! are identical by construction — which is also what makes coalescing sound: a
 //! follower returning the leader's bytes is indistinguishable from recomputing.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -115,13 +115,14 @@ impl CacheStats {
 /// least recently used entry first. With capacity 0 the cache stores nothing and
 /// every lookup misses — the `--cache-cap 0` off switch.
 ///
-/// The recency list is a plain `Vec` scanned linearly: capacities here are request
-/// caches (tens to a few thousand entries), where the scan is noise next to
-/// rendering a single response.
+/// Recency is a stamp per entry: every use takes the next value of a counter,
+/// and a `BTreeMap` from stamp to key orders the entries, so a hit or an
+/// eviction costs O(log n) at any `--cache-cap`.
 #[derive(Clone, Debug)]
 pub struct LruCache<V> {
-    map: HashMap<String, V>,
-    recency: Vec<String>,
+    map: HashMap<String, (V, u64)>,
+    recency: BTreeMap<u64, String>,
+    clock: u64,
     cap: usize,
     stats: CacheStats,
 }
@@ -131,7 +132,8 @@ impl<V> LruCache<V> {
     pub fn new(cap: usize) -> Self {
         LruCache {
             map: HashMap::new(),
-            recency: Vec::new(),
+            recency: BTreeMap::new(),
+            clock: 0,
             cap,
             stats: CacheStats::default(),
         }
@@ -159,14 +161,21 @@ impl<V> LruCache<V> {
 
     /// Looks up `key`, marking it most recently used on a hit.
     pub fn get(&mut self, key: &str) -> Option<&V> {
-        if self.map.contains_key(key) {
-            self.stats.hits += 1;
-            self.touch(key);
-            self.map.get(key)
-        } else {
+        let Some((value, stamp)) = self.map.get_mut(key) else {
             self.stats.misses += 1;
-            None
-        }
+            return None;
+        };
+        self.stats.hits += 1;
+        self.clock += 1;
+        let old = std::mem::replace(stamp, self.clock);
+        let owned = self.recency.remove(&old).expect("every entry has a stamp");
+        self.recency.insert(self.clock, owned);
+        Some(value)
+    }
+
+    /// Looks up `key` without touching the counters or the recency order.
+    pub(crate) fn peek(&self, key: &str) -> Option<&V> {
+        self.map.get(key).map(|(value, _)| value)
     }
 
     /// Inserts `key -> value` (refreshing recency on overwrite), evicting the least
@@ -176,22 +185,15 @@ impl<V> LruCache<V> {
         if self.cap == 0 {
             return;
         }
-        if self.map.insert(key.to_string(), value).is_none() {
-            self.recency.push(key.to_string());
-        } else {
-            self.touch(key);
+        self.clock += 1;
+        if let Some((_, old)) = self.map.insert(key.to_string(), (value, self.clock)) {
+            self.recency.remove(&old);
         }
+        self.recency.insert(self.clock, key.to_string());
         while self.map.len() > self.cap {
-            let victim = self.recency.remove(0);
+            let (_, victim) = self.recency.pop_first().expect("over capacity");
             self.map.remove(&victim);
             self.stats.evictions += 1;
-        }
-    }
-
-    fn touch(&mut self, key: &str) {
-        if let Some(pos) = self.recency.iter().position(|k| k == key) {
-            let k = self.recency.remove(pos);
-            self.recency.push(k);
         }
     }
 }
@@ -248,7 +250,7 @@ impl ResponseCache {
     /// its flight retired), and that probe must not distort the accounting the
     /// per-request `get` already did.
     pub fn peek(&self, key: &str) -> Option<String> {
-        self.memory.map.get(key).cloned()
+        self.memory.peek(key).cloned()
     }
 
     /// Looks up `key` in memory, then on disk. A disk hit is promoted into memory;
@@ -474,6 +476,110 @@ mod tests {
         cache.put("c", 3);
         assert_eq!(cache.get("b"), None, "overwriting a refreshed it past b");
         assert_eq!(cache.get("a"), Some(&10));
+    }
+
+    /// The recency list this cache used before stamps: a `Vec` scanned and
+    /// shifted on every touch, kept as the oracle for the eviction order.
+    struct VecLru {
+        map: HashMap<String, u64>,
+        recency: Vec<String>,
+        cap: usize,
+        stats: CacheStats,
+    }
+
+    impl VecLru {
+        fn get(&mut self, key: &str) -> Option<u64> {
+            let Some(&value) = self.map.get(key) else {
+                self.stats.misses += 1;
+                return None;
+            };
+            self.stats.hits += 1;
+            self.touch(key);
+            Some(value)
+        }
+
+        fn put(&mut self, key: &str, value: u64) {
+            self.stats.puts += 1;
+            if self.cap == 0 {
+                return;
+            }
+            if self.map.insert(key.to_string(), value).is_none() {
+                self.recency.push(key.to_string());
+            } else {
+                self.touch(key);
+            }
+            while self.map.len() > self.cap {
+                let victim = self.recency.remove(0);
+                self.map.remove(&victim);
+                self.stats.evictions += 1;
+            }
+        }
+
+        fn touch(&mut self, key: &str) {
+            let pos = self.recency.iter().position(|k| k == key).unwrap();
+            let k = self.recency.remove(pos);
+            self.recency.push(k);
+        }
+    }
+
+    #[test]
+    fn lru_matches_the_vec_recency_model_on_random_sequences() {
+        let mut rng = 0x2545_f491_4f6c_dd1du64;
+        let mut next = |bound: u64| {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            rng % bound
+        };
+        for cap in [0usize, 1, 2, 3, 7, 16, 64] {
+            let mut cache = LruCache::new(cap);
+            let mut model = VecLru {
+                map: HashMap::new(),
+                recency: Vec::new(),
+                cap,
+                stats: CacheStats::default(),
+            };
+            // A key space a few times the capacity, so hits, overwrites and
+            // evictions all occur.
+            let keys = 3 * cap as u64 + 2;
+            for step in 0..4000u64 {
+                let key = format!("k{}", next(keys));
+                if next(3) == 0 {
+                    cache.put(&key, step);
+                    model.put(&key, step);
+                } else {
+                    assert_eq!(cache.get(&key).copied(), model.get(&key), "cap {cap}");
+                }
+                assert_eq!(cache.len(), model.map.len(), "cap {cap}");
+            }
+            assert_eq!(cache.stats(), model.stats, "cap {cap}");
+            // The recency orders agree entry for entry, oldest first.
+            let order: Vec<&String> = cache.recency.values().collect();
+            let expected: Vec<&String> = model.recency.iter().collect();
+            assert_eq!(order, expected, "cap {cap}");
+        }
+    }
+
+    #[test]
+    fn lru_keeps_exact_recency_at_ten_thousand_entries() {
+        const CAP: usize = 10_000;
+        let mut cache = LruCache::new(CAP);
+        for i in 0..CAP {
+            cache.put(&format!("k{i}"), i);
+        }
+        // Touch every even key: the odd keys become the older half.
+        for i in (0..CAP).step_by(2) {
+            assert_eq!(cache.get(&format!("k{i}")), Some(&i));
+        }
+        for i in 0..CAP / 2 {
+            cache.put(&format!("new{i}"), i);
+        }
+        assert_eq!(cache.len(), CAP);
+        assert_eq!(cache.stats().evictions, (CAP / 2) as u64);
+        for i in 0..CAP {
+            let kept = cache.peek(&format!("k{i}")).is_some();
+            assert_eq!(kept, i % 2 == 0, "k{i}: only the odd (older) keys evict");
+        }
     }
 
     #[test]

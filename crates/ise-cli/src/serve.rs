@@ -63,18 +63,20 @@
 //! only in the envelope. CI's serve smoke strips the envelope fields and `cmp`s
 //! cold vs warm bytes — and the concurrent replay against a serial one.
 //!
-//! **Shutdown.** SIGTERM and SIGINT set a flag polled by every serve loop (the
-//! handler itself only stores an `AtomicBool`), as does the `shutdown` op. The
-//! accept loop stops accepting, every connection thread finishes its in-flight
-//! request (responses are written before the flag is re-checked), the threads are
-//! joined and the process exits with status 0 — what CI's smoke asserts after
+//! **Shutdown.** SIGTERM and SIGINT set a flag (the handler itself only stores an
+//! `AtomicBool`), as does the `shutdown` op. With `--listen`, one watcher thread
+//! turns either into a wake-up of the accept loop, which blocks in `accept` and
+//! so never sleeps between clients. The accept loop stops accepting, every
+//! connection thread finishes its in-flight request (responses are written
+//! before the flag is re-checked), the loop waits until every connection has
+//! ended and the process exits with status 0 — what CI's smoke asserts after
 //! `kill -TERM` under load.
 
 use std::io::{self, BufRead, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{mpsc, Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use ise_bench::json::Json;
@@ -101,9 +103,10 @@ pub const DEFAULT_CACHE_CAP: usize = 256;
 /// clients queue in the kernel backlog instead of being refused.
 pub const DEFAULT_MAX_CONNECTIONS: usize = 64;
 
-/// Signal handling for graceful shutdown: SIGTERM/SIGINT set a flag the serve
-/// loops poll. The single `unsafe` block of the workspace lives here — one audited
-/// libc `signal` binding; the handler body is async-signal-safe (one atomic store).
+/// Signal handling for graceful shutdown: SIGTERM/SIGINT set a flag that the
+/// serve loops and the TCP shutdown watcher check. The single `unsafe` block of
+/// the workspace lives here — one audited libc `signal` binding; the handler body
+/// is async-signal-safe (one atomic store).
 #[cfg(unix)]
 #[allow(unsafe_code)]
 mod sig {
@@ -269,6 +272,10 @@ pub struct ServerState {
     registry: Arc<MetricsRegistry>,
     /// Test seam: sleep this long at the start of every cold computation.
     compute_delay: Option<Duration>,
+    /// Unit-test seam: called at the start of every cold computation, so a
+    /// test can hold one in flight and then make it panic.
+    #[cfg(test)]
+    compute_hook: Option<Box<dyn Fn() + Send + Sync>>,
     shutdown: AtomicBool,
 }
 
@@ -309,6 +316,8 @@ impl ServerState {
             counters: ServeCounters::new(registry.as_ref()),
             registry,
             compute_delay: None,
+            #[cfg(test)]
+            compute_hook: None,
             shutdown: AtomicBool::new(false),
         }
     }
@@ -328,9 +337,21 @@ impl ServerState {
         self
     }
 
+    /// Unit-test seam: run `hook` at the start of every cold computation.
+    #[cfg(test)]
+    fn with_compute_hook(mut self, hook: impl Fn() + Send + Sync + 'static) -> Self {
+        self.compute_hook = Some(Box::new(hook));
+        self
+    }
+
     /// Whether a `shutdown` request has been acknowledged.
     pub fn shutdown_requested(&self) -> bool {
         self.shutdown.load(Ordering::SeqCst)
+    }
+
+    /// Whether the daemon is stopping: a `shutdown` op or SIGTERM/SIGINT.
+    fn stopping(&self) -> bool {
+        sig::terminated() || self.shutdown_requested()
     }
 
     /// The response cache's counters (test observability).
@@ -548,6 +569,10 @@ impl ServerState {
     ) -> Result<String, CliError> {
         if let Some(delay) = self.compute_delay {
             std::thread::sleep(delay);
+        }
+        #[cfg(test)]
+        if let Some(hook) = &self.compute_hook {
+            hook();
         }
         let select = op == "select";
         let global = flags.bool("global", false)?;
@@ -963,59 +988,186 @@ fn serve_stdin(state: &ServerState) -> Result<(), CliError> {
     }
 }
 
-/// The TCP serve loop: a non-blocking accept loop (so SIGTERM is noticed within
-/// ~50ms even while idle) handing each accepted connection to its own thread
-/// over the shared state, up to `max_connections` at once — beyond the bound the
-/// loop pauses accepting and pending clients wait in the kernel backlog. On
-/// SIGTERM or a `shutdown` op the loop stops accepting and **drains**: every
-/// connection thread finishes its in-flight request (its response is written
-/// before the thread re-checks the flag) and is joined before the daemon exits 0.
-/// The bound address is announced on stdout so callers binding port 0 learn the
-/// port.
+/// How often the shutdown watcher re-checks the stop flags (a signal handler can
+/// only store an atomic, not notify) and, once stopping, retries its wake-up.
+const SIGNAL_POLL: Duration = Duration::from_millis(100);
+
+/// The pause after an `accept` error (`EMFILE` and the like), so a daemon out of
+/// file descriptors does not spin while connections close.
+const ACCEPT_ERROR_BACKOFF: Duration = Duration::from_millis(50);
+
+/// The TCP daemon: binds `addr`, announces the bound address on stdout (so
+/// callers binding port 0 learn the port) and serves until SIGTERM/SIGINT or a
+/// `shutdown` op ([`serve_listener`]).
 fn serve_tcp(state: &Arc<ServerState>, addr: &str, max_connections: usize) -> Result<(), CliError> {
-    let listener = TcpListener::bind(addr).map_err(|source| CliError::Io {
+    let io_error = |source| CliError::Io {
         path: addr.to_string(),
         source,
-    })?;
-    listener
-        .set_nonblocking(true)
-        .map_err(|source| CliError::Io {
-            path: addr.to_string(),
-            source,
-        })?;
-    if let Ok(local) = listener.local_addr() {
-        println!("listening on {local}");
-        let _ = io::stdout().flush();
-    }
-    let mut workers: Vec<std::thread::JoinHandle<()>> = Vec::new();
-    while !(sig::terminated() || state.shutdown_requested()) {
-        workers.retain(|worker| !worker.is_finished());
-        if workers.len() >= max_connections {
-            std::thread::sleep(Duration::from_millis(10));
-            continue;
-        }
-        match listener.accept() {
-            Ok((stream, peer)) => {
-                let state = Arc::clone(state);
-                workers.push(std::thread::spawn(move || {
-                    let peer = peer.to_string();
-                    if let Err(error) = serve_connection(&state, stream) {
-                        state.note_connection_error(&peer, &error);
+    };
+    let listener = TcpListener::bind(addr).map_err(io_error)?;
+    println!("listening on {}", listener.local_addr().map_err(io_error)?);
+    let _ = io::stdout().flush();
+    serve_listener(state, listener, max_connections).map_err(io_error)
+}
+
+/// The accept loop: blocks in `accept` and hands each connection to its own
+/// thread over the shared state, up to `max_connections` at once. At the bound
+/// it waits on [`Slots`] and pending clients wait in the kernel backlog. Nothing
+/// here sleeps or polls between clients: a new connection is read as soon as the
+/// kernel completes it.
+///
+/// On SIGTERM/SIGINT or a `shutdown` op, a watcher thread that checks the stop
+/// flags every [`SIGNAL_POLL`] wakes the loop (it notifies the slots and connects
+/// to the listener, retrying until the loop has left) and the loop stops
+/// accepting. It then **drains**: every connection thread finishes its in-flight
+/// request (its response is written before the thread re-checks the flag) and
+/// the loop returns once every slot is free.
+fn serve_listener(
+    state: &Arc<ServerState>,
+    listener: TcpListener,
+    max_connections: usize,
+) -> io::Result<()> {
+    let waker = wake_addr(listener.local_addr()?);
+    let slots = Arc::new(Slots::new(max_connections));
+    let accepting = AtomicBool::new(true);
+    std::thread::scope(|scope| {
+        let watcher = scope.spawn(|| {
+            while !state.stopping() {
+                std::thread::park_timeout(SIGNAL_POLL);
+            }
+            // Retried until the loop has left: a connect can fail (the daemon
+            // out of file descriptors, say) while `accept` still blocks.
+            let mut reported = false;
+            while accepting.load(Ordering::SeqCst) {
+                slots.notify();
+                if let Err(error) = TcpStream::connect_timeout(&waker, SIGNAL_POLL) {
+                    if !std::mem::replace(&mut reported, true) {
+                        eprintln!("ise serve: could not wake the accept loop at {waker}: {error}");
                     }
-                }));
+                }
+                std::thread::park_timeout(SIGNAL_POLL);
             }
-            Err(error) if error.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(50));
+        });
+        while let Some(slot) = slots.acquire(|| state.stopping()) {
+            let (stream, peer) = match listener.accept() {
+                Ok(accepted) => accepted,
+                Err(_) => {
+                    std::thread::sleep(ACCEPT_ERROR_BACKOFF);
+                    continue;
+                }
+            };
+            // The watcher's wake-up, or a client that raced it: either way the
+            // daemon is stopping, and the connection is dropped unserved.
+            if state.stopping() {
+                break;
             }
-            Err(_) => std::thread::sleep(Duration::from_millis(50)),
+            // Detached: the slot count, not a join handle, is what the drain
+            // waits on, and it falls to zero even when a connection panics.
+            let shared = Arc::clone(state);
+            let spawned = std::thread::Builder::new()
+                .name("ise-conn".to_string())
+                .spawn(move || {
+                    let _slot = slot;
+                    if let Err(error) = serve_connection(&shared, stream) {
+                        shared.note_connection_error(&peer.to_string(), &error);
+                    }
+                });
+            if let Err(error) = spawned {
+                state.note_connection_error(&peer.to_string(), &error);
+            }
+        }
+        accepting.store(false, Ordering::SeqCst);
+        watcher.thread().unpark();
+    });
+    drop(listener);
+    slots.wait_idle();
+    Ok(())
+}
+
+/// Where the shutdown watcher connects to wake an accept loop blocked in
+/// `accept`: the listener's own address, with an unspecified IP (`0.0.0.0`,
+/// `::`) replaced by the loopback address of the same family.
+fn wake_addr(local: SocketAddr) -> SocketAddr {
+    let mut addr = local;
+    if addr.ip().is_unspecified() {
+        addr.set_ip(match addr.ip() {
+            IpAddr::V4(_) => IpAddr::V4(Ipv4Addr::LOCALHOST),
+            IpAddr::V6(_) => IpAddr::V6(Ipv6Addr::LOCALHOST),
+        });
+    }
+    addr
+}
+
+/// The `--max-connections` bound: the number of live connection threads behind
+/// a mutex, and a condvar notified whenever a slot frees or the daemon starts to
+/// stop.
+struct Slots {
+    live: Mutex<usize>,
+    changed: Condvar,
+    max: usize,
+}
+
+/// One live connection's claim on a slot. Dropping it frees the slot, so a
+/// connection thread that panics frees its slot while unwinding.
+struct SlotGuard(Arc<Slots>);
+
+impl Slots {
+    fn new(max: usize) -> Self {
+        Slots {
+            live: Mutex::new(0),
+            changed: Condvar::new(),
+            max,
         }
     }
-    // Graceful drain: connection threads notice the flag at their next poll and
-    // return once their in-flight response is written.
-    for worker in workers {
-        let _ = worker.join();
+
+    /// Every update is one increment or decrement, so a lock poisoned by a
+    /// panicking thread still guards a valid count.
+    fn lock(&self) -> std::sync::MutexGuard<'_, usize> {
+        self.live.lock().unwrap_or_else(PoisonError::into_inner)
     }
-    Ok(())
+
+    /// Waits for a free slot and claims it; `None` once `stopping()` holds.
+    fn acquire(self: &Arc<Self>, stopping: impl Fn() -> bool) -> Option<SlotGuard> {
+        let mut live = self.lock();
+        loop {
+            if stopping() {
+                return None;
+            }
+            if *live < self.max {
+                *live += 1;
+                return Some(SlotGuard(Arc::clone(self)));
+            }
+            live = self
+                .changed
+                .wait(live)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+    }
+
+    /// Wakes every waiter, so an accept loop waiting for a slot re-checks the
+    /// stop flags.
+    fn notify(&self) {
+        let _live = self.lock();
+        self.changed.notify_all();
+    }
+
+    /// Blocks until every slot is free: the end of the drain.
+    fn wait_idle(&self) {
+        let mut live = self.lock();
+        while *live > 0 {
+            live = self
+                .changed
+                .wait(live)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+    }
+}
+
+impl Drop for SlotGuard {
+    fn drop(&mut self) {
+        *self.0.lock() -= 1;
+        self.0.changed.notify_all();
+    }
 }
 
 /// The longest request line (JSON protocol, HTTP request or header line) and the
@@ -1035,9 +1187,10 @@ fn oversized(what: &str) -> io::Error {
 
 /// Serves one TCP connection, sniffing the transport from its first line: an
 /// HTTP method selects the HTTP/1.1 shim, anything else (in practice a `{`) is
-/// line-delimited JSON. Reads poll with a 100ms timeout so a SIGTERM during an
-/// idle connection still shuts the daemon down promptly. An oversized request is
-/// answered with an error and ends the connection.
+/// line-delimited JSON. Reads carry a 100 ms timeout: it is the drain poll, so a
+/// shutdown reaches an idle connection promptly, and it never delays an answer —
+/// a read returns as soon as bytes arrive. An oversized request is answered with
+/// an error and ends the connection.
 fn serve_connection(state: &ServerState, mut stream: TcpStream) -> io::Result<()> {
     stream.set_read_timeout(Some(Duration::from_millis(100)))?;
     // Each response is one small write the client latency-chains on; Nagle
@@ -1121,7 +1274,7 @@ fn read_line_polled(
                 if error.kind() == io::ErrorKind::WouldBlock
                     || error.kind() == io::ErrorKind::TimedOut =>
             {
-                if sig::terminated() || state.shutdown_requested() {
+                if state.stopping() {
                     return Ok(0);
                 }
             }
@@ -1155,7 +1308,7 @@ fn read_exact_polled(
                 if error.kind() == io::ErrorKind::WouldBlock
                     || error.kind() == io::ErrorKind::TimedOut =>
             {
-                if sig::terminated() || state.shutdown_requested() {
+                if state.stopping() {
                     return Err(io::Error::new(
                         io::ErrorKind::UnexpectedEof,
                         "shutdown while reading a request body",
@@ -1184,11 +1337,8 @@ fn serve_json(
             // and the newline as separate segments.
             stream.write_all(response.as_bytes())?;
             stream.flush()?;
-            if state.shutdown_requested() {
-                return Ok(());
-            }
         }
-        if sig::terminated() {
+        if state.stopping() {
             return Ok(());
         }
         line.clear();
@@ -1262,7 +1412,7 @@ fn serve_http(
         let response = http_response(status, content_type, &payload, close);
         stream.write_all(response.as_bytes())?;
         stream.flush()?;
-        if close || state.shutdown_requested() || sig::terminated() {
+        if close || state.stopping() {
             return Ok(());
         }
         request_line.clear();
@@ -1936,5 +2086,160 @@ mod tests {
         let read = read_line_polled(&state, &mut io::BufReader::new(chunks), &mut line);
         assert_eq!(read.unwrap(), line.len());
         assert_eq!(line, "{\"k\":\"é\"}\n");
+    }
+
+    #[test]
+    fn wake_addr_maps_unspecified_ips_to_loopback() {
+        let wake = |addr: &str| wake_addr(addr.parse().unwrap()).to_string();
+        assert_eq!(wake("0.0.0.0:7878"), "127.0.0.1:7878");
+        assert_eq!(wake("[::]:7878"), "[::1]:7878");
+        assert_eq!(wake("10.1.2.3:7878"), "10.1.2.3:7878");
+        assert_eq!(wake("127.0.0.1:9"), "127.0.0.1:9");
+    }
+
+    /// Runs [`serve_listener`] on a fresh loopback port in its own thread; the
+    /// receiver yields its result once it returns.
+    fn spawn_listener(
+        state: &Arc<ServerState>,
+        max_connections: usize,
+    ) -> (SocketAddr, mpsc::Receiver<io::Result<()>>) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let (done, finished) = mpsc::channel();
+        let state = Arc::clone(state);
+        std::thread::spawn(move || {
+            let _ = done.send(serve_listener(&state, listener, max_connections));
+        });
+        (addr, finished)
+    }
+
+    /// Opens a connection and sends one request line, returning a reader for the
+    /// answers (the connection stays open while the reader lives).
+    fn send_line(addr: SocketAddr, line: &str) -> io::BufReader<TcpStream> {
+        let mut stream = TcpStream::connect(addr).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        stream.write_all(format!("{line}\n").as_bytes()).unwrap();
+        io::BufReader::new(stream)
+    }
+
+    fn answer(reader: &mut io::BufReader<TcpStream>) -> String {
+        let mut line = String::new();
+        reader.read_line(&mut line).unwrap();
+        line.trim_end().to_string()
+    }
+
+    #[test]
+    fn shutdown_op_wakes_an_accept_loop_blocked_in_accept() {
+        let state = Arc::new(ServerState::new(8, None));
+        let (addr, finished) = spawn_listener(&state, 4);
+        let mut client = send_line(addr, r#"{"op":"stats"}"#);
+        assert!(answer(&mut client).starts_with("{\"ok\":true"));
+        drop(client);
+        assert!(finished.recv_timeout(Duration::from_millis(200)).is_err());
+        let bye = state.handle_line(r#"{"op":"shutdown"}"#);
+        assert!(bye.contains("\"ok\":true"), "{bye}");
+        let served = finished
+            .recv_timeout(Duration::from_secs(2))
+            .expect("the watcher must wake the blocked accept");
+        assert!(served.is_ok(), "{served:?}");
+    }
+
+    /// Shutdown while every slot is busy: the accept loop, waiting for a slot,
+    /// wakes and closes the listener at once, and the in-flight request still
+    /// completes before the loop returns.
+    #[test]
+    fn shutdown_stops_accepting_while_every_slot_is_busy() {
+        let (release, released) = mpsc::channel::<()>();
+        let released = Mutex::new(released);
+        let state = Arc::new(ServerState::new(8, None).with_compute_hook(move || {
+            let _ = released.lock().unwrap().recv();
+        }));
+        let (addr, finished) = spawn_listener(&state, 1);
+        let mut busy = send_line(addr, &request("enumerate", INLINE, ""));
+        while state.flight_stats().leaders < 1 {
+            std::thread::yield_now();
+        }
+        let _ = state.handle_line(r#"{"op":"shutdown"}"#);
+        let deadline = Instant::now() + Duration::from_secs(2);
+        loop {
+            match TcpStream::connect_timeout(&addr, Duration::from_millis(100)) {
+                Err(error) if error.kind() == io::ErrorKind::ConnectionRefused => break,
+                _ => assert!(
+                    Instant::now() < deadline,
+                    "the listener must close while its only slot is busy"
+                ),
+            }
+            std::thread::yield_now();
+        }
+        assert!(
+            finished.try_recv().is_err(),
+            "the drain waits for the request"
+        );
+        release.send(()).unwrap();
+        let answered = answer(&mut busy);
+        assert!(answered.starts_with("{\"ok\":true"), "{answered}");
+        let served = finished
+            .recv_timeout(Duration::from_secs(5))
+            .expect("the drain ends once the request is answered");
+        assert!(served.is_ok(), "{served:?}");
+    }
+
+    /// A compute that panics must not strand anything: its single-flight
+    /// followers get an in-band error, its connection's slot is freed (with
+    /// `max_connections = 1`, the next client is served only then), and the
+    /// daemon keeps answering.
+    #[test]
+    fn panicking_compute_frees_its_slot_and_releases_followers() {
+        let (release, released) = mpsc::channel::<()>();
+        let released = Mutex::new(released);
+        let armed = AtomicBool::new(true);
+        let state = Arc::new(ServerState::new(8, None).with_compute_hook(move || {
+            if armed.swap(false, Ordering::SeqCst) {
+                let _ = released.lock().unwrap().recv();
+                panic!("injected compute panic");
+            }
+        }));
+        let (addr, finished) = spawn_listener(&state, 1);
+        let req = request("enumerate", INLINE, r#"{"nin":3,"nout":1}"#);
+
+        // The leader: a TCP connection whose compute blocks in the hook.
+        let mut leader = send_line(addr, &req);
+        while state.flight_stats().leaders < 1 {
+            std::thread::yield_now();
+        }
+        // A follower of the same key, coalesced onto the leader's flight.
+        let follower = {
+            let state = Arc::clone(&state);
+            let req = req.clone();
+            std::thread::spawn(move || state.handle_line(&req))
+        };
+        while state.flight_stats().coalesced < 1 {
+            std::thread::yield_now();
+        }
+        release.send(()).unwrap();
+
+        let followed = follower.join().expect("the follower must not panic");
+        let doc = Json::parse(&followed).unwrap();
+        assert_eq!(doc.get("ok"), Some(&Json::Bool(false)), "{followed}");
+        assert_eq!(
+            answer(&mut leader),
+            "",
+            "the panicking connection closes unanswered"
+        );
+
+        // Only one slot: this client is served only if the panic freed it.
+        let mut next = send_line(addr, &req);
+        let answered = answer(&mut next);
+        assert!(answered.starts_with("{\"ok\":true"), "{answered}");
+        assert!(answered.contains("\"cached\":false"), "{answered}");
+        drop(next);
+
+        let _ = state.handle_line(r#"{"op":"shutdown"}"#);
+        let served = finished
+            .recv_timeout(Duration::from_secs(5))
+            .expect("the daemon must still shut down");
+        assert!(served.is_ok(), "{served:?}");
     }
 }

@@ -1,7 +1,8 @@
 //! Process-level harness for the concurrent `ise serve` daemon: the built `ise`
 //! binary is spawned with `--listen 127.0.0.1:0` and exercised the way real
 //! clients do — concurrent TCP connections replaying a mixed workload against a
-//! serial ground truth, the HTTP/1.1 shim, SIGTERM under load, and the
+//! serial ground truth, the HTTP/1.1 shim, SIGTERM under load and while idle,
+//! the cost of a new connection, the `--max-connections` slots, and the
 //! connection-error accounting for clients that vanish mid-line. The in-process
 //! concurrency tests (same invariants, no sockets) live in
 //! `tests/serve_concurrent.rs` at the workspace root.
@@ -89,6 +90,14 @@ impl Daemon {
             let _ = pipe.read_to_string(&mut stderr);
         }
         stderr
+    }
+}
+
+/// A test that fails before its daemon exits must not leave it running.
+impl Drop for Daemon {
+    fn drop(&mut self) {
+        let _ = self.child.kill();
+        let _ = self.child.wait();
     }
 }
 
@@ -356,12 +365,7 @@ fn sigterm_under_load_completes_inflight_and_exits_zero() {
 
     // Let the request get into its (artificially slow) computation, then TERM.
     thread::sleep(Duration::from_millis(250));
-    let term = Command::new("kill")
-        .arg("-TERM")
-        .arg(daemon.child.id().to_string())
-        .status()
-        .expect("send SIGTERM");
-    assert!(term.success());
+    terminate(&daemon);
 
     let response = client.join().expect("client thread");
     assert!(
@@ -461,5 +465,118 @@ fn huge_thread_counts_are_capped_and_the_daemon_keeps_serving() {
 
     let ok = daemon.roundtrip(&request("enumerate", &tiny_block(1), "\"budget\":5000"));
     assert!(ok.starts_with("{\"ok\":true"), "{ok}");
+    daemon.shutdown();
+}
+
+/// Sends SIGTERM to the daemon.
+fn terminate(daemon: &Daemon) {
+    let term = Command::new("kill")
+        .arg("-TERM")
+        .arg(daemon.child.id().to_string())
+        .status()
+        .expect("send SIGTERM");
+    assert!(term.success());
+}
+
+/// One `POST /v1/enumerate` of `block` on a new connection (`Connection:
+/// close`), returning the whole HTTP response.
+fn http_enumerate(addr: &str, block: &str) -> String {
+    let body = format!("{{\"block\":{}}}", Json::str(block).render());
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .expect("timeout");
+    write!(
+        stream,
+        "POST /v1/enumerate HTTP/1.1\r\nHost: localhost\r\nContent-Length: {}\r\n\
+         Connection: close\r\n\r\n{body}",
+        body.len()
+    )
+    .expect("send");
+    let mut reply = String::new();
+    stream.read_to_string(&mut reply).expect("read until close");
+    reply
+}
+
+/// A client that opens one connection per request waits for the daemon to
+/// accept it: that must take no poll interval. A warm tiny block answers in
+/// well under a millisecond, so the median new-connection round trip is far
+/// below the 10 ms bound unless the accept loop sleeps.
+#[test]
+fn new_connections_pay_no_accept_poll() {
+    let daemon = Daemon::spawn(&[]);
+    let block = tiny_block(11);
+    assert!(http_enumerate(&daemon.addr, &block).starts_with("HTTP/1.1 200 "));
+    let mut millis: Vec<f64> = (0..21)
+        .map(|_| {
+            let started = Instant::now();
+            let reply = http_enumerate(&daemon.addr, &block);
+            let elapsed = started.elapsed().as_secs_f64() * 1e3;
+            assert!(reply.contains("\"cached\":true"), "{reply}");
+            elapsed
+        })
+        .collect();
+    millis.sort_by(f64::total_cmp);
+    let median = millis[millis.len() / 2];
+    assert!(
+        median < 10.0,
+        "median new-connection round trip {median:.2} ms (all: {millis:?})"
+    );
+    daemon.shutdown();
+}
+
+/// SIGTERM reaches a TCP daemon that no client is talking to: its accept loop
+/// is blocked in `accept`, and the shutdown watcher must wake it.
+#[test]
+fn sigterm_while_idle_exits_promptly() {
+    let mut daemon = Daemon::spawn(&[]);
+    terminate(&daemon);
+    let status = wait_with_timeout(&mut daemon.child, Duration::from_secs(2));
+    assert!(
+        status.success(),
+        "an idle daemon must exit 0, got {status:?}"
+    );
+}
+
+/// With `--max-connections 1`, an open connection holds the only slot: a second
+/// client waits in the backlog unanswered, and is served as soon as the first
+/// connection closes.
+#[test]
+fn max_connections_slot_frees_on_close() {
+    let daemon = Daemon::spawn(&["--max-connections", "1"]);
+    let mut first = daemon.connect();
+    writeln!(first, "{{\"op\":\"stats\"}}").expect("send");
+    let mut first_reader = BufReader::new(first.try_clone().expect("clone"));
+    let mut stats = String::new();
+    first_reader.read_line(&mut stats).expect("stats answer");
+    assert!(stats.starts_with("{\"ok\":true"), "{stats}");
+
+    let mut second = daemon.connect();
+    writeln!(second, "{{\"op\":\"stats\"}}").expect("send");
+    second
+        .set_read_timeout(Some(Duration::from_millis(500)))
+        .expect("timeout");
+    let mut second_reader = BufReader::new(second.try_clone().expect("clone"));
+    let mut early = String::new();
+    let blocked = second_reader.read_line(&mut early);
+    assert!(
+        blocked.is_err() && early.is_empty(),
+        "the second client must wait while the first holds the slot: {blocked:?} {early:?}"
+    );
+
+    drop(first_reader);
+    drop(first);
+    let closed = Instant::now();
+    second
+        .set_read_timeout(Some(Duration::from_secs(1)))
+        .expect("timeout");
+    let mut answer = String::new();
+    second_reader
+        .read_line(&mut answer)
+        .expect("the freed slot must serve the waiting client within 1 s");
+    assert!(answer.starts_with("{\"ok\":true"), "{answer}");
+    assert!(closed.elapsed() < Duration::from_secs(1));
+    drop(second_reader);
+    drop(second);
     daemon.shutdown();
 }
